@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .cochains import CochainError, OneCochain, ZeroCochain, boundary
+from .cochains import OneCochain, ZeroCochain, boundary
 from .graphs import GraphError, Multigraph, contract_edges
 from .modular import inverse_mod
 
@@ -192,46 +192,47 @@ def root_count(g: int, ell: int) -> int:
     return ell ** (2 * g)
 
 
+def _integer(item, key: str, what: str) -> int:
+    """item[key] when item is an object and the value an integer (not a bool)."""
+    value = item.get(key) if isinstance(item, dict) else item
+    if not isinstance(item, dict) or isinstance(value, bool) or not isinstance(value, int):
+        raise DecorationError(f"{what}: {key!r} must be an integer in an object, got {value!r}")
+    return value
+
+
 def decorated_from_dict(data: dict) -> DecoratedGraph:
-    """Build a decorated graph from the JSON object layout."""
-    try:
-        ell = int(data["ell"])
-        raw_vertices = list(data["vertices"])
-        raw_edges = list(data["edges"])
-    except (KeyError, TypeError) as exc:
-        raise DecorationError(f"malformed decorated graph object: {exc}") from exc
+    """Build a decorated graph from the JSON object layout.
+
+    Vertices and edges are objects; ell, id, tail, head, m and a non-null
+    genus are integers.  Any other input raises DecorationError.
+    """
+    ell = _integer(data, "ell", "decorated graph")
+    raw_vertices, raw_edges = data.get("vertices"), data.get("edges")
+    if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
+        raise DecorationError("vertices and edges must be lists")
     if ell < 1:
         raise DecorationError("ell must be positive")
-    ids = []
-    genus: Optional[dict[int, int]] = {}
-    for item in raw_vertices:
-        vid = int(item["id"])
-        ids.append(vid)
-        gv = item.get("genus")
-        if gv is None:
-            genus = None
-        elif genus is not None:
-            genus[vid] = int(gv)
+    ids, labels = [], []
+    for i, item in enumerate(raw_vertices):
+        ids.append(_integer(item, "id", f"vertex {i}"))
+        has_genus = item.get("genus") is not None
+        labels.append(_integer(item, "genus", f"vertex {i}") if has_genus else None)
     if len(set(ids)) != len(ids):
         raise DecorationError("duplicate vertex ids")
+    genus = None if None in labels else dict(zip(ids, labels))
     edges = {}
     mvals = {}
     for i, item in enumerate(raw_edges):
-        t, h = int(item["tail"]), int(item["head"])
-        m = int(item["m"])
-        if not 0 <= m < ell:
-            raise DecorationError(f"edge {i}: m={m} out of range for ell={ell}")
-        edges[i] = (t, h)
-        mvals[i] = m
+        what = f"edge {i}"
+        edges[i] = (_integer(item, "tail", what), _integer(item, "head", what))
+        mvals[i] = _integer(item, "m", what)
+        if not 0 <= mvals[i] < ell:
+            raise DecorationError(f"{what}: m={mvals[i]} out of range for ell={ell}")
     try:
         graph = Multigraph(ids, edges)
     except GraphError as exc:
         raise DecorationError(str(exc)) from exc
-    try:
-        m = OneCochain(graph, ell, mvals)
-    except CochainError as exc:
-        raise DecorationError(str(exc)) from exc
-    return DecoratedGraph(graph, ell, m, genus)
+    return DecoratedGraph.from_edge_values(graph, ell, mvals, genus)
 
 
 def parse_decorated(text: str) -> DecoratedGraph:

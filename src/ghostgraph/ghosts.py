@@ -2,9 +2,12 @@
 
 A ghost automorphism is an even Z/ell function a on the faithful part of
 the graph; it belongs to the automorphism group of the root iff the odd
-cochain a*M lies in im delta.  Ages are exact rationals; the stratum age
+cochain a*M lies in im delta.  At a prime level every M(e) there is a unit,
+so the ghosts are exactly a = delta(phi) * M^-1, one for each potential phi
+in (Z/ell)^V up to constants.  Ages are exact rationals; the stratum age
 minimizes over the quotient graph with loops and separating edges
-contracted, which quotients out the quasireflections.
+contracted, which quotients out the quasireflections, by branch-and-bound
+over potentials.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from typing import Iterable, Iterator, Optional
 from .cochains import (
     EvenFunction,
     OneCochain,
-    circuit_sum,
     cut_basis,
-    fundamental_circuits,
     in_image_delta,
     spanning_tree,
 )
@@ -98,9 +99,6 @@ class GhostGroup:
             seen.add(row)
             yield EvenFunction(g, ell, dict(zip(edge_ids, row)))
 
-    def contains(self, a: EvenFunction, max_elements: int = EXPANSION_BOUND) -> bool:
-        return any(a == b for b in self.elements(max_elements))
-
 
 def ghost_group(d: DecoratedGraph) -> GhostGroup:
     """The ghost group of the decorated graph, computed on gamma0.
@@ -168,30 +166,16 @@ def reduced_core(d: DecoratedGraph) -> DecoratedGraph:
         core = contract_decorated(core, drop)
 
 
-def _junior_candidates(n_edges: int, ell: int) -> Iterator[tuple[int, ...]]:
-    """All nonzero rep vectors with entry sum < ell (age below 1)."""
-
-    def rec(i: int, budget: int, acc: list[int]):
-        if i == n_edges:
-            if any(acc):
-                yield tuple(acc)
-            return
-        for v in range(budget + 1):
-            acc.append(v)
-            yield from rec(i + 1, budget - v, acc)
-            acc.pop()
-
-    yield from rec(0, ell - 1, [])
-
-
 def minimal_age_report(
     d: DecoratedGraph, max_elements: int = EXPANSION_BOUND
 ) -> Optional[AgeReport]:
-    """Minimum age over the non-identity ghosts of the reduced core.
-
-    Returns None when the reduced group is trivial.  Elements of age below
-    1 are found by direct enumeration of small rep vectors; otherwise the
-    whole group is expanded (bounded).
+    """Minimum age over the non-identity ghosts a = delta(phi) * M^-1 of the
+    reduced core (None when there are none), by depth-first branch-and-bound
+    over the potentials phi with phi = 0 at the first vertex.  The others
+    take values in BFS order, so each closes an edge to an earlier one;
+    rep(a(e)) is added as each edge closes, and a branch is pruned once its
+    partial sum reaches the best found.  max_elements bounds the partial
+    potentials visited, ell per assigned vertex; past it SizeBoundExceeded.
     """
     _require_prime(d.ell)
     core = reduced_core(d)
@@ -199,34 +183,49 @@ def minimal_age_report(
     ell = core.ell
     if g.n_vertices == 1:
         return None
-    edge_ids = g.edge_ids
-    t = spanning_tree(g)
-    circuits = fundamental_circuits(g, t)
-    m_fwd = {e: core.m_value(e) for e in edge_ids}
+    order = [g.vertices[0]]
+    for v in order:
+        order.extend(w for w in sorted(g.neighbors(v)) if w not in order)
+    pos = {v: i for i, v in enumerate(order)}
+    inv_m = {e: inverse_mod(core.m_value(e), ell) for e in g.edge_ids}
+    # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
+    # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
+    closing: list[dict[int, list[int]]] = [{} for _ in order]
+    for e, (t, h) in g.edges.items():
+        i, j, k = pos[h], pos[t], inv_m[e]
+        if i < j:
+            i, j, k = j, i, -k
+        row = closing[i].setdefault(j, [0] * (2 * ell))
+        for x in range(2 * ell):
+            row[x] += x * k % ell
+    phi = [0] * len(order)
+    best_sum, best_phi, visited = math.inf, phi, 0
 
-    def lift_ok(vals: dict[int, int]) -> bool:
-        prod = OneCochain(g, ell, {e: vals[e] * m_fwd[e] for e in edge_ids})
-        return all(circuit_sum(prod, c) == 0 for c in circuits)
+    def search(i: int, partial: int):
+        nonlocal best_sum, best_phi, visited
+        visited += ell
+        if visited > max_elements:
+            raise SizeBoundExceeded(
+                f"age search exceeds its bound of {max_elements} partial potentials"
+            )
+        rows = [row[ell - phi[j] : 2 * ell - phi[j]] for j, row in closing[i].items()]
+        costs = [sum(c) for c in zip(*rows)]
+        for c in sorted(range(ell), key=costs.__getitem__):
+            total = partial + costs[c]
+            if total >= best_sum:
+                return
+            phi[i] = c
+            if i + 1 < len(order):
+                search(i + 1, total)
+            elif total:
+                best_sum, best_phi = total, list(phi)
 
-    best: Optional[AgeReport] = None
-    for reps in _junior_candidates(len(edge_ids), ell):
-        vals = dict(zip(edge_ids, reps))
-        if not lift_ok(vals):
-            continue
-        a = EvenFunction(g, ell, vals)
-        report = AgeReport(a, Fraction(sum(reps), ell), len(a.support()))
-        if best is None or report.age < best.age:
-            best = report
-    if best is not None:
-        return best
-    group = ghost_group(core)
-    for a in group.elements(max_elements):
-        if a.is_zero():
-            continue
-        report = AgeReport(a, age(a), len(a.support()))
-        if best is None or report.age < best.age:
-            best = report
-    return best
+    search(1, 0)
+    p = dict(zip(order, best_phi))
+    a = EvenFunction(
+        g, ell, {e: (p[h] - p[t]) * inv_m[e] for e, (t, h) in g.edges.items()}
+    )
+    return AgeReport(a, Fraction(best_sum, ell), len(a.support()))
 
 
 def stratum_age(d: DecoratedGraph, max_elements: int = EXPANSION_BOUND):
@@ -245,11 +244,10 @@ def generated_by_qr(d: DecoratedGraph) -> bool:
     Prime level: the faithful graph is tree-like.  Composite level: the
     graph Gamma_p is tree-like for every prime divisor p.
     """
-    fac = prime_factors(d.ell)
-    if len(fac) == 1 and list(fac.values())[0] == 1:
+    if is_prime(d.ell):
         d0, _ = gamma0(d)
         return is_tree_like(d0.graph)
-    return all(is_tree_like(gamma_p(d, p)) for p in fac)
+    return all(is_tree_like(gamma_p(d, p)) for p in prime_factors(d.ell))
 
 
 def alpha_beta(d: DecoratedGraph, p: int) -> tuple[list[int], list[int]]:

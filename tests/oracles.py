@@ -222,6 +222,14 @@ def brute_stratum_age(d: DecoratedGraph):
     return best
 
 
+def vine_stratum_age(ell: int, ms) -> Fraction:
+    """Stratum age of the vine with edges 0 -> 1 carrying the units ms (at
+    least two).  On a vine im delta is the constant cochains, so the ghosts
+    are a(e) = c * M(e)^-1 for c in Z/ell."""
+    inv = [pow(m, -1, ell) for m in ms]
+    return min(Fraction(sum(c * i % ell for i in inv), ell) for c in range(1, ell))
+
+
 # ---------------------------------------------------------------------------
 # labelled no-pruning classification oracle
 

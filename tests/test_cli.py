@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from ghostgraph.cli import main
+
+from oracles import vine_stratum_age
 
 
 def vine_file(tmp_path, ell, values, name="graph.json"):
@@ -70,6 +73,36 @@ class TestAnalyze:
         path.write_text("{broken")
         result = CliRunner().invoke(main, ["analyze", str(path)])
         assert result.exit_code == 3
+
+    def test_vine_at_level_1009(self, tmp_path):
+        ms = (1, 10, 100, 1000)
+        path = vine_file(tmp_path, 1009, ms)
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert result.exit_code == 0
+        expected = vine_stratum_age(1009, ms)
+        assert json.loads(result.output)["stratum_age"] == (
+            f"{expected.numerator}/{expected.denominator}"
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.update(vertices=[1, 2]),
+            lambda data: data.update(ell="x"),
+            lambda data: data["edges"][0].update(m="a"),
+            lambda data: data["edges"][0].pop("m"),
+            lambda data: data["edges"][0].update(m=1.5),
+        ],
+        ids=["vertex-not-object", "ell-string", "m-string", "m-missing", "m-float"],
+    )
+    def test_malformed_input_exit_code(self, tmp_path, corrupt):
+        path = vine_file(tmp_path, 5, [1, 4])
+        data = json.loads(path.read_text())
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        result = CliRunner().invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
 
     def test_missing_file_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["analyze", str(tmp_path / "nope.json")])

@@ -218,6 +218,35 @@ class TestFileFormat:
         with pytest.raises(DecorationError):
             parse_decorated(json.dumps(disc))
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.update(ell=True),
+            lambda data: data.update(ell=5.0),
+            lambda data: data.update(edges={"0": {"tail": 0, "head": 1, "m": 1}}),
+            lambda data: data["edges"].append([0, 1, 2]),
+            lambda data: data["edges"][0].update(tail="0"),
+            lambda data: data["edges"][0].pop("head"),
+            lambda data: data["vertices"][0].update(id=0.0),
+            lambda data: data["vertices"][1].update(genus="2"),
+        ],
+        ids=[
+            "ell-bool",
+            "ell-float",
+            "edges-not-list",
+            "edge-not-object",
+            "tail-string",
+            "head-missing",
+            "id-float",
+            "genus-string",
+        ],
+    )
+    def test_rejects_non_integer_fields(self, corrupt):
+        data = self.sample()
+        corrupt(data)
+        with pytest.raises(DecorationError):
+            parse_decorated(json.dumps(data))
+
     def test_parse_error_reports_position(self):
         with pytest.raises(DecorationError) as exc:
             parse_decorated('{"ell": 5,,}')

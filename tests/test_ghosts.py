@@ -1,6 +1,7 @@
 """Ghost groups, ages, stratum age, composite-level criteria, covers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,15 @@ from ghostgraph import (
     vine_witness,
 )
 from ghostgraph.ghosts import INFINITE_AGE, reduced_core
+from ghostgraph.graphs import SizeBoundExceeded
 
-from oracles import brute_ghost_set, brute_qr_set, group_set
+from oracles import (
+    brute_ghost_set,
+    brute_qr_set,
+    brute_stratum_age,
+    group_set,
+    vine_stratum_age,
+)
 
 
 def vine(n):
@@ -143,6 +151,37 @@ class TestStratumAge:
     def test_tree_like_infinite(self):
         g = Multigraph(range(3), [(0, 1), (1, 2)])
         assert stratum_age(dec(g, 5, {0: 1, 1: 3})) == INFINITE_AGE
+
+    @pytest.mark.parametrize("ell", [11, 13])
+    def test_matches_oracle_at_larger_levels(self, ell):
+        # 15 random graphs with 2-4 vertices, at most 5 edges, zero twists
+        # with probability 0.2 and a reduced core of at least 2 vertices
+        rng = random.Random(ell)
+        cases = 0
+        while cases < 15:
+            nv = rng.randint(2, 4)
+            edges = [(rng.randrange(v), v) for v in range(1, nv)]
+            while len(edges) < 5 and rng.random() < 0.8:
+                edges.append((rng.randrange(nv), rng.randrange(nv)))
+            g = Multigraph(range(nv), edges)
+            twists = {e: rng.randrange(1, ell) if rng.random() > 0.2 else 0 for e in g.edge_ids}
+            d = dec(g, ell, twists)
+            if reduced_core(d).graph.n_vertices == 1:
+                continue
+            cases += 1
+            assert stratum_age(d) == brute_stratum_age(d), d
+
+    def test_vine_at_level_1009(self):
+        ms = (1, 10, 100, 1000)
+        d = dec(vine(4), 1009, dict(enumerate(ms)))
+        assert stratum_age(d) == vine_stratum_age(1009, ms)
+
+    def test_search_bound(self):
+        g = Multigraph(range(5), [(i, (i + 1) % 5) for i in range(5)] * 2)
+        d = dec(g, 11, {e: 1 + e for e in g.edge_ids})
+        with pytest.raises(SizeBoundExceeded, match="1 partial potentials"):
+            stratum_age(d, max_elements=1)
+        assert stratum_age(d) < INFINITE_AGE
 
     def test_reduced_core_drops_loops_and_bridges(self):
         # 2-vine with a pendant bridge and a loop
