@@ -2,8 +2,10 @@
 
 classify_junior scans every loopless, bridgeless base graph that can
 support a junior ghost at level ell (fewer than ell edges suffices),
-every faithful decoration, and buckets the junior ones into isomorphism
-classes.  By default only closure-maximal classes are reported: those
+every faithful decoration, and groups the junior ones into isomorphism
+classes: the orbits of the base graph's automorphisms, which act by
+permuting edges and negating M on an edge whose ends they swap.  The
+orbit size of a class is its number of labelled decorations.  By default only closure-maximal classes are reported: those
 whose junior witnesses never vanish on an edge, so no further
 contraction stays junior.
 """

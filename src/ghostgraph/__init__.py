@@ -36,6 +36,7 @@ from .cochains import (
 from .decorated import (
     DecoratedGraph,
     DecorationError,
+    admissible_k,
     gamma0,
     gamma_nu,
     gamma_p,

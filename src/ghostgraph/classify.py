@@ -4,7 +4,10 @@ A class is an isomorphism class of decorated graphs (loopless bridgeless
 base, faithful decoration).  For every base graph all decorations are
 scanned in one vectorized pass: an even function of age below 1 has rep
 values summing to less than ell, so the junior witnesses live in a small
-candidate set that is independent of the decoration.
+candidate set that is independent of the decoration.  The junior rows are
+then grouped into classes by the base graph's own automorphisms, also in
+numpy: each row maps to the smallest decoration in its orbit, so the
+Python work (canonical code, witness, admissible k) runs once per class.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .cochains import EvenFunction, OneCochain
-from .decorated import DecoratedGraph, DecorationError, contract_decorated, genus_labeling
+from .decorated import (
+    DecoratedGraph,
+    DecorationError,
+    admissible_k,
+    contract_decorated,
+)
 from .ghosts import is_prime
 from .graphs import (
     Multigraph,
@@ -27,6 +35,7 @@ from .graphs import (
     enumerate_base_graphs,
     fundamental_circuits,
     spanning_tree,
+    vertex_automorphisms,
 )
 
 SUPPORTED_LEVELS = (2, 3, 5, 7)
@@ -226,8 +235,7 @@ def classify_junior(
     is complete at the default bound: a fully supported witness of age
     below 1 forces #E < ell.
     """
-    if not is_prime(ell):
-        raise DecorationError(f"level must be prime, got {ell}")
+    # every supported level is prime: no trial division of an arbitrary ell
     if ell not in SUPPORTED_LEVELS and not (allow_large and ell in GATED_LEVELS):
         raise DecorationError(
             f"level {ell} not supported (pass allow_large=True for {GATED_LEVELS})"
@@ -240,9 +248,47 @@ def classify_junior(
     return classes
 
 
-# each junior decoration is bucketed by canonical code in Python; cap the
-# amount of that work for full (non-maximal) listings at large levels
+# per-class Python work (a canonical code, a witness, a multidegree) and the
+# class list itself grow with the junior decorations of one graph; cap them
+# for full (non-maximal) listings at large levels
 BUCKET_BOUND = 20_000
+
+
+def _orbit_minima(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
+    """For each decoration row of g, the grid index (the row index in
+    ``scan_graph``'s decorations) of the lexicographically smallest
+    decoration isomorphic to it.
+
+    An isomorphism of the decorated base graph is a vertex automorphism
+    followed by any permutation of parallel edges, and an edge whose ends
+    the automorphism swaps carries -M.  For a fixed vertex automorphism the
+    smallest image sorts the values inside each parallel-edge class, and the
+    mixed-radix grid index of ``scan_graph`` is in lexicographic order.
+    """
+    edges = g.edges
+    assert all(t < h for t, h in edges.values()), "base graphs store edges as (i, j), i < j"
+    cols: dict[tuple[int, int], list[int]] = {}
+    for i, pair in enumerate(edges.values()):
+        cols.setdefault(pair, []).append(i)
+    powers = (ell - 1) ** np.arange(g.n_edges - 1, -1, -1, dtype=np.int64)
+    best = None
+    for sigma in vertex_automorphisms(g):
+        landed: dict[tuple[int, int], list[int]] = {pair: [] for pair in cols}
+        neg = np.zeros(g.n_edges, dtype=bool)
+        for i, (t, h) in enumerate(edges.values()):
+            st, sh = sigma[t], sigma[h]
+            landed[(min(st, sh), max(st, sh))].append(i)
+            neg[i] = st > sh
+        perm = np.empty(g.n_edges, dtype=np.int64)
+        for pair, targets in cols.items():
+            perm[targets] = landed[pair]
+        image = np.where(neg, ell - rows, rows)[:, perm]
+        for targets in cols.values():
+            if len(targets) > 1:
+                image[:, targets] = np.sort(image[:, targets], axis=1)
+        index = (image - 1) @ powers
+        best = index if best is None else np.minimum(best, index)
+    return best
 
 
 @functools.lru_cache(maxsize=16)
@@ -261,33 +307,29 @@ def _classify_cached(
                 f"{idxs.size} junior decorations on one graph exceed the "
                 f"bucketing bound; restrict to maximal classes or fewer edges"
             )
-        buckets: dict[bytes, list[int]] = {}
-        for i in idxs:
-            d = _decorated_from_vector(g, ell, scan.decorations[i])
-            buckets.setdefault(decoration_code(d), []).append(int(i))
-        for code in sorted(buckets):
-            members = buckets[code]
-            rep_i = min(members, key=lambda i: tuple(scan.decorations[i]))
+        minima = _orbit_minima(g, ell, scan.decorations[idxs])
+        reps, inverse, counts = np.unique(
+            minima, return_inverse=True, return_counts=True
+        )
+        assert (scan.maximal[idxs] == scan.maximal[reps][inverse]).all(), (
+            "maximality must be orbit invariant"
+        )
+        for rep_i, orbit_size in zip(reps, counts):
             rep = _decorated_from_vector(g, ell, scan.decorations[rep_i])
             cand = scan.candidates[scan.witness_idx[rep_i]]
             witness = EvenFunction(
                 g, ell, {e: int(v) for e, v in zip(g.edge_ids, cand)}
             )
-            admissible = frozenset(
-                kk for kk in range(ell) if genus_labeling(rep, kk) is not None
-            )
-            flags = {bool(scan.maximal[i]) for i in members}
-            assert len(flags) == 1, "maximality must be orbit invariant"
             cls = StratumClass(
                 decorated=rep,
-                code=code,
+                code=decoration_code(rep),
                 vine=vine_notation(rep),
                 age=Fraction(int(scan.age_num[rep_i]), ell),
                 witness=witness,
                 codimension=g.n_edges,
-                admissible_k=admissible,
-                orbit_size=len(members),
-                maximal=flags.pop(),
+                admissible_k=admissible_k(rep),
+                orbit_size=int(orbit_size),
+                maximal=bool(scan.maximal[rep_i]),
             )
             classes.append(cls)
     classes.sort(

@@ -18,6 +18,7 @@ from . import props as props_mod
 from .classify import StratumClass, classify_junior, vine_notation
 from .decorated import (
     DecorationError,
+    admissible_k,
     decorated_to_dict,
     gamma0,
     gamma_p,
@@ -101,9 +102,7 @@ def build_report(d, k: Optional[int]) -> dict:
         report["qr_order"] = qr.order
         report["stratum_age"] = _rational(s_age)
         report["junior"] = s_age < 1
-        report["admissible_k"] = [
-            kk for kk in range(ell) if genus_labeling(d, kk) is not None
-        ]
+        report["admissible_k"] = sorted(admissible_k(d))
     else:
         report["ghost_group_order"] = None
         report["qr_order"] = None

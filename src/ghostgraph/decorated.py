@@ -5,20 +5,30 @@ that read off stack structure from the decoration."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .cochains import OneCochain, ZeroCochain, boundary
-from .graphs import GraphError, Multigraph, contract_edges
-from .modular import inverse_mod
+from .graphs import GraphError, Multigraph, SizeBoundExceeded, betti1, contract_edges
 
 
 class DecorationError(ValueError):
     """Invalid decorated-graph data."""
 
 
+# Largest level any computation accepts.  Checked in prime_factors, before
+# its trial division; at this level a two-edge vine still gets its full
+# report (admissible_k and the age search are linear in ell) within a second.
+MAX_LEVEL = 100_003
+
+
 def prime_factors(ell: int) -> dict[int, int]:
-    """Prime factorization as {p: exponent}."""
+    """Prime factorization as {p: exponent}, for 1 <= ell <= MAX_LEVEL."""
+    if ell > MAX_LEVEL:
+        raise SizeBoundExceeded(
+            f"level bound MAX_LEVEL = {MAX_LEVEL} exceeded: ell = {ell}"
+        )
     out: dict[int, int] = {}
     n = ell
     p = 2
@@ -128,14 +138,25 @@ def gamma_p(d: DecoratedGraph, p: int) -> Multigraph:
 
 def stabilizer_order(d: DecoratedGraph, e: int) -> int:
     """Order of the local stabilizer at the node e: ell / gcd(M(e), ell)."""
-    import math
-
     return d.ell // math.gcd(d.m_value(e), d.ell)
 
 
 def multidegree(d: DecoratedGraph) -> ZeroCochain:
     """The boundary of M: per-vertex sum of incoming multiplicities."""
     return boundary(d.m)
+
+
+def _multidegree_table(d: DecoratedGraph) -> dict[int, tuple[int, int]]:
+    """vertex -> (multidegree, number of half-edges N_v)."""
+    dm = multidegree(d)
+    return {v: (dm(v), d.graph.degree(v)) for v in d.graph.vertices}
+
+
+def _solvable(table, ell: int, k: int) -> bool:
+    """2k g = dm - k (N - 2) mod ell has a solution g at every vertex
+    exactly when gcd(2k, ell) divides each right side."""
+    step = math.gcd(2 * k, ell)
+    return all((dm - k * (n_v - 2)) % step == 0 for dm, n_v in table.values())
 
 
 def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
@@ -149,41 +170,35 @@ def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
     """
     ell = d.ell
     k = k % ell
-    dm = multidegree(d)
-    import math
-
+    table = _multidegree_table(d)
+    if not _solvable(table, ell, k):
+        return None
+    # 2k g = rhs mod ell  <=>  (2k/s) g = rhs/s mod n, with s = gcd(2k, ell)
+    # and n = ell/s; the smallest nonnegative solution lies in [0, n)
+    step = math.gcd(2 * k, ell)
+    n = ell // step
+    inv = pow(2 * k // step, -1, n)
     genus = {}
-    for v in d.graph.vertices:
-        n_v = d.graph.degree(v)
-        rhs = (dm(v) - k * (n_v - 2)) % ell
-        two_k = (2 * k) % ell
-        if math.gcd(two_k, ell) == 1:
-            g_v = (rhs * inverse_mod(two_k, ell)) % ell
-        else:
-            # 2k is not invertible (k = 0, or ell even); solvable only when
-            # the right side is killed by every choice, i.e. rhs in 2k Z/ell
-            g = math.gcd(two_k, ell)
-            if rhs % g != 0:
-                return None
-            if two_k == 0:
-                g_v = 0
-            else:
-                # smallest nonnegative solution of two_k * g_v = rhs
-                g_v = next(
-                    x for x in range(ell) if (two_k * x - rhs) % ell == 0
-                )
+    for v, (dm, n_v) in table.items():
+        rhs = (dm - k * (n_v - 2)) % ell
+        g_v = (rhs // step) * inv % n
         if g_v == 0 and n_v < 3:
             g_v += ell
         genus[v] = g_v
     return genus
 
 
+def admissible_k(d: DecoratedGraph) -> frozenset[int]:
+    """Every k in range(ell) for which genus_labeling(d, k) has a solution,
+    from one multidegree for all k."""
+    table = _multidegree_table(d)
+    return frozenset(k for k in range(d.ell) if _solvable(table, d.ell, k))
+
+
 def total_genus(d: DecoratedGraph) -> int:
     """Sum of the genus labels plus the first Betti number of the graph."""
     if d.genus is None:
         raise DecorationError("genus labels missing")
-    from .graphs import betti1
-
     return sum(d.genus[v] for v in d.graph.vertices) + betti1(d.graph)
 
 

@@ -336,6 +336,27 @@ def is_tree_like(g: Multigraph) -> bool:
     return all(g.is_loop(e) or e in seps for e in g.edge_ids)
 
 
+def _degree_orderings(
+    g: Multigraph, max_vertices: int = MAX_CODE_VERTICES
+) -> Iterator[dict[int, int]]:
+    """Every vertex ordering that lists the vertices by ascending degree, as
+    ``vertex -> position``.  The first one keeps each degree class in
+    vertex order.  There are prod(class size!) of them, so the vertex count
+    is bounded by ``max_vertices``."""
+    if g.n_vertices > max_vertices:
+        raise SizeBoundExceeded(
+            f"canonical_code limited to {max_vertices} vertices"
+        )
+    classes: dict[int, list[int]] = {}
+    for v in g.vertices:
+        classes.setdefault(g.degree(v), []).append(v)
+    parts = [itertools.permutations(classes[d]) for d in sorted(classes)]
+    return (
+        {v: i for i, v in enumerate(v for part in perm_parts for v in part)}
+        for perm_parts in itertools.product(*parts)
+    )
+
+
 def canonical_code(
     g: Multigraph,
     labels: Optional[Mapping[int, int]] = None,
@@ -350,31 +371,13 @@ def canonical_code(
     degree-respecting vertex orderings, so it is exact but exponential; the
     vertex count is bounded by ``max_vertices``.
     """
-    if g.n_vertices > max_vertices:
-        raise SizeBoundExceeded(
-            f"canonical_code limited to {max_vertices} vertices"
-        )
+    orderings = _degree_orderings(g, max_vertices)
     if reverse is None:
         reverse = lambda m: m
-    degrees = {v: g.degree(v) for v in g.vertices}
-    classes: dict[int, list[int]] = {}
-    for v in g.vertices:
-        classes.setdefault(degrees[v], []).append(v)
-    sorted_degrees = sorted(classes)
-    prefix = tuple(
-        d for d in sorted_degrees for _ in classes[d]
-    )
+    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
     edge_items = list(g.edges.items())
     best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(classes[d]) for d in sorted_degrees)
-    ):
-        pos: dict[int, int] = {}
-        i = 0
-        for part in perm_parts:
-            for v in part:
-                pos[v] = i
-                i += 1
+    for pos in orderings:
         enc = []
         for e, (t, h) in edge_items:
             m = labels[e] if labels is not None else 0
@@ -390,6 +393,30 @@ def canonical_code(
         if best is None or cand < best:
             best = cand
     return repr(best).encode("ascii")
+
+
+def vertex_automorphisms(g: Multigraph) -> list[dict[int, int]]:
+    """Every vertex permutation of g that keeps each vertex pair's edge
+    multiplicity, identity first.
+
+    Read off the orderings of ``canonical_code``: an ordering whose
+    unlabelled edge encoding equals the first one's is an automorphism
+    composed with the first ordering.
+    """
+    def pairs(pos: dict[int, int]) -> list[tuple[int, int]]:
+        return sorted(
+            (min(pos[t], pos[h]), max(pos[t], pos[h])) for t, h in g.edges.values()
+        )
+
+    orderings = _degree_orderings(g)
+    first = next(orderings)
+    vertex_at = {i: v for v, i in first.items()}
+    target = pairs(first)
+    return [{v: v for v in g.vertices}] + [
+        {v: vertex_at[pos[v]] for v in g.vertices}
+        for pos in orderings
+        if pairs(pos) == target
+    ]
 
 
 def _pair_multiset_graph(nv: int, pairs: list[tuple[int, int]]) -> Optional[Multigraph]:

@@ -9,16 +9,18 @@ from ghostgraph import (
     DecoratedGraph,
     DecorationError,
     Multigraph,
+    SizeBoundExceeded,
     classify_junior,
     contracts_to,
     enumerate_decorations,
+    genus_labeling,
     lifts,
     prop_k_symmetry,
     reduce_step,
     stratum_age,
     vine_notation,
 )
-from ghostgraph.classify import decoration_code, scan_graph
+from ghostgraph.classify import BUCKET_BOUND, decoration_code, scan_graph
 from ghostgraph.ghosts import age, is_supported
 
 from oracles import brute_junior_classes, brute_stratum_age
@@ -158,6 +160,33 @@ class TestClassifyJunior:
         assert all(1 in c.admissible_k for c in all_k1)
         k0 = classify_junior(5, k=0, only_maximal=True)
         assert {vine_notation(c.decorated) for c in k0} == {(1, 1, 3), (1, 2, 2)}
+
+    @pytest.mark.parametrize("ell,max_edges", [(5, None), (7, 4)])
+    def test_class_invariants_match_scalar_reference(self, ell, max_edges):
+        """Orbit size, representative and admissible k of every class,
+        against all (ell - 1)^E decorations of its base graph."""
+        classes = classify_junior(ell, max_edges=max_edges, only_maximal=False)
+        by_graph = {}
+        for c in classes:
+            by_graph.setdefault(c.decorated.graph, []).append(c)
+        for g, graph_classes in by_graph.items():
+            orbits = {}
+            for values in itertools.product(range(1, ell), repeat=g.n_edges):
+                d = dec(g, ell, dict(zip(g.edge_ids, values)))
+                orbits.setdefault(decoration_code(d), []).append(values)
+            for c in graph_classes:
+                members = orbits[c.code]
+                rep = tuple(c.decorated.m_value(e) for e in g.edge_ids)
+                assert c.orbit_size == len(members)
+                assert rep == min(members)
+                assert c.admissible_k == {
+                    k for k in range(ell) if genus_labeling(c.decorated, k) is not None
+                }
+
+    def test_full_listing_keeps_bucket_bound(self):
+        with pytest.raises(SizeBoundExceeded, match="bucketing bound") as info:
+            classify_junior(7, only_maximal=False)
+        assert int(str(info.value).split()[0]) > BUCKET_BOUND
 
     def test_maximality_antichain(self):
         classes = classify_junior(5, only_maximal=True)

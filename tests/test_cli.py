@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from ghostgraph.cli import main
+from ghostgraph import DecoratedGraph, Multigraph, genus_labeling
+from ghostgraph.cli import build_report, main
+from ghostgraph.decorated import MAX_LEVEL
 
 from oracles import vine_stratum_age
 
@@ -84,6 +86,44 @@ class TestAnalyze:
             f"{expected.numerator}/{expected.denominator}"
         )
 
+    def test_level_past_bound_exit_code(self, tmp_path):
+        path = vine_file(tmp_path, 100000000000000000039, (1, 2))
+        result = CliRunner().invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert f"MAX_LEVEL = {MAX_LEVEL}" in result.output
+
+    def test_vine_at_largest_allowed_level(self, tmp_path):
+        ms = (1, 2)
+        path = vine_file(tmp_path, MAX_LEVEL, ms)
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        expected = vine_stratum_age(MAX_LEVEL, ms)
+        assert report["stratum_age"] == f"{expected.numerator}/{expected.denominator}"
+        # the multidegree is -3, 3: at an odd prime level every k != 0 has
+        # 2k invertible, and k = 0 would need a zero multidegree
+        assert report["admissible_k"] == list(range(1, MAX_LEVEL))
+
+    @pytest.mark.parametrize("ell", [2, 5, 6, 7, 12])
+    def test_admissible_k_matches_genus_labeling(self, ell):
+        graphs = [
+            Multigraph([0, 1], [(0, 1)] * 3),
+            Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1)]),
+            Multigraph(range(3), [(0, 1), (1, 1), (1, 2), (2, 0)]),
+        ]
+        for g in graphs:
+            for shift in range(ell):
+                values = {e: (shift + 2 * e) % ell for e in g.edge_ids}
+                d = DecoratedGraph.from_edge_values(g, ell, values)
+                report = build_report(d, None)
+                if report["stratum_age"] is None:  # composite level
+                    assert report["admissible_k"] is None
+                    continue
+                assert report["admissible_k"] == [
+                    k for k in range(ell) if genus_labeling(d, k) is not None
+                ]
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -145,6 +185,18 @@ class TestClassify:
     def test_unsupported_level(self):
         result = CliRunner().invoke(main, ["classify", "--ell", "9", "--k", "1"])
         assert result.exit_code == 2
+
+    def test_huge_level_is_a_usage_error(self):
+        result = CliRunner().invoke(
+            main, ["classify", "--ell", "100000000000000000039"]
+        )
+        assert result.exit_code == 2
+        assert "not supported" in result.output
+
+    def test_full_listing_past_bucket_bound(self):
+        result = CliRunner().invoke(main, ["classify", "--ell", "7", "--all"])
+        assert result.exit_code == 4
+        assert "bucketing bound" in result.output
 
     def test_snapshot_roundtrip(self, tmp_path):
         result = CliRunner().invoke(main, ["classify", "--ell", "3", "--k", "1"])

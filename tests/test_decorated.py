@@ -1,6 +1,8 @@
 """Decorated graphs: contractions, multidegree, genus labels, file format."""
 
 import json
+import math
+import random
 
 import pytest
 
@@ -8,6 +10,8 @@ from ghostgraph import (
     DecoratedGraph,
     DecorationError,
     Multigraph,
+    SizeBoundExceeded,
+    admissible_k,
     gamma0,
     gamma_nu,
     gamma_p,
@@ -19,7 +23,13 @@ from ghostgraph import (
     stabilizer_order,
     total_genus,
 )
-from ghostgraph.decorated import contract_decorated, decorated_to_dict
+from ghostgraph.decorated import (
+    MAX_LEVEL,
+    contract_decorated,
+    decorated_to_dict,
+    prime_factors,
+)
+from ghostgraph.ghosts import is_prime
 
 
 def vine(n):
@@ -139,6 +149,62 @@ class TestGenusLabeling:
                 n_v = d.graph.degree(v)
                 assert (dm(v) - k * (2 * labels[v] - 2 + n_v)) % 7 == 0
                 assert labels[v] > 0 or n_v >= 3
+
+
+def random_decorated(rng, ell):
+    """A connected multigraph on 1-5 vertices with loops and parallel
+    edges, and a decoration that may vanish on some edges."""
+    n_v = rng.randint(1, 5)
+    edges = [(rng.randrange(v), v) for v in range(1, n_v)]
+    edges += [
+        (rng.randrange(n_v), rng.randrange(n_v)) for _ in range(rng.randint(0, 4))
+    ]
+    if not edges:
+        edges.append((0, 0))
+    g = Multigraph(range(n_v), edges)
+    return dec(g, ell, {e: rng.randrange(ell) for e in g.edge_ids})
+
+
+class TestAdmissibleK:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 6, 7, 12, 13])
+    def test_matches_genus_labeling(self, ell):
+        rng = random.Random(ell)
+        for _ in range(40):
+            d = random_decorated(rng, ell)
+            dm = multidegree(d)
+            got = admissible_k(d)
+            assert got == {k for k in range(ell) if genus_labeling(d, k) is not None}
+            for k in range(ell):
+                # the smallest g in [0, ell) solving 2k g = dm - k (N - 2),
+                # bumped by ell at an unstable genus-0 vertex
+                minimal = {}
+                for v in d.graph.vertices:
+                    n_v = d.graph.degree(v)
+                    rhs = dm(v) - k * (n_v - 2)
+                    sols = [x for x in range(ell) if (2 * k * x - rhs) % ell == 0]
+                    if sols:
+                        minimal[v] = sols[0] + (ell if sols[0] == 0 and n_v < 3 else 0)
+                solvable = len(minimal) == d.graph.n_vertices
+                assert (k in got) == solvable
+                assert genus_labeling(d, k) == (minimal if solvable else None)
+
+
+class TestLevelBound:
+    def test_prime_factors_refuses_large_level(self):
+        ell = 100000000000000000039
+        for fn in (prime_factors, is_prime):
+            with pytest.raises(SizeBoundExceeded) as info:
+                fn(ell)
+            message = str(info.value)
+            assert "MAX_LEVEL" in message
+            assert str(MAX_LEVEL) in message
+            assert str(ell) in message
+
+    def test_largest_allowed_level(self):
+        fac = prime_factors(MAX_LEVEL)
+        assert math.prod(p**e for p, e in fac.items()) == MAX_LEVEL
+        with pytest.raises(SizeBoundExceeded):
+            prime_factors(MAX_LEVEL + 1)
 
 
 class TestGenusTotals:

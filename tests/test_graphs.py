@@ -1,5 +1,8 @@
 """Multigraph structure: contraction, bridges, trees, circuits, codes."""
 
+import itertools
+from collections import Counter
+
 import pytest
 
 from ghostgraph import (
@@ -14,7 +17,7 @@ from ghostgraph import (
     separating_edges,
     spanning_tree,
 )
-from ghostgraph.graphs import SizeBoundExceeded
+from ghostgraph.graphs import SizeBoundExceeded, vertex_automorphisms
 
 from oracles import brute_bridges, connected_multigraphs
 
@@ -194,6 +197,48 @@ class TestCanonicalCode:
         g = Multigraph(range(n), [(i, (i + 1) % n) for i in range(n)])
         with pytest.raises(SizeBoundExceeded):
             canonical_code(g)
+
+
+class TestVertexAutomorphisms:
+    @staticmethod
+    def brute(g):
+        """Every vertex permutation that keeps each pair's edge multiplicity."""
+        pairs = Counter(frozenset(ends) for ends in g.edges.values())
+        out = []
+        for image in itertools.permutations(g.vertices):
+            sigma = dict(zip(g.vertices, image))
+            moved = Counter(
+                frozenset((sigma[t], sigma[h])) for t, h in g.edges.values()
+            )
+            if moved == pairs:
+                out.append(sigma)
+        return out
+
+    def test_known_group_orders(self):
+        k4 = Multigraph(range(4), list(itertools.combinations(range(4), 2)))
+        square = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert len(vertex_automorphisms(vine(3))) == 2
+        assert len(vertex_automorphisms(triangle())) == 6
+        assert len(vertex_automorphisms(square)) == 8
+        assert len(vertex_automorphisms(k4)) == 24
+        assert len(vertex_automorphisms(barbell())) == 2
+
+    def test_identity_first(self):
+        g = Multigraph([3, 7, 9], [(3, 7), (7, 9), (9, 3), (3, 7)])
+        autos = vertex_automorphisms(g)
+        assert autos[0] == {3: 3, 7: 7, 9: 9}
+        assert len(autos) == 2
+
+    def test_matches_brute_force(self):
+        for g in connected_multigraphs(4):
+            got = sorted(sorted(a.items()) for a in vertex_automorphisms(g))
+            assert got == sorted(sorted(a.items()) for a in self.brute(g))
+
+    def test_size_bound(self):
+        n = 9
+        g = Multigraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+        with pytest.raises(SizeBoundExceeded):
+            vertex_automorphisms(g)
 
 
 class TestEnumerateBaseGraphs:
