@@ -34,12 +34,12 @@ from .graphs import (
     canonical_code,
     enumerate_base_graphs,
     fundamental_circuits,
+    spanning_forest,
     spanning_tree,
     vertex_automorphisms,
 )
 
 SUPPORTED_LEVELS = (2, 3, 5, 7)
-GATED_LEVELS = (11,)
 
 
 @dataclass
@@ -222,7 +222,6 @@ def classify_junior(
     k: Optional[int] = None,
     max_edges: Optional[int] = None,
     only_maximal: bool = False,
-    allow_large: bool = False,
 ) -> list[StratumClass]:
     """Every isomorphism class of junior decorated graphs with at most
     max_edges (default ell - 1) edges, with closure-maximality flags.
@@ -236,10 +235,8 @@ def classify_junior(
     below 1 forces #E < ell.
     """
     # every supported level is prime: no trial division of an arbitrary ell
-    if ell not in SUPPORTED_LEVELS and not (allow_large and ell in GATED_LEVELS):
-        raise DecorationError(
-            f"level {ell} not supported (pass allow_large=True for {GATED_LEVELS})"
-        )
+    if ell not in SUPPORTED_LEVELS:
+        raise DecorationError(f"level {ell} not supported (supported: {SUPPORTED_LEVELS})")
     if max_edges is None:
         max_edges = ell - 1
     classes = list(_classify_cached(ell, max_edges, only_maximal))
@@ -388,24 +385,8 @@ def reduce_step(d: DecoratedGraph) -> Optional[tuple[DecoratedGraph, DecoratedGr
                 f for f, (t, h) in g.edges.items() if {t, h} == {v1, v3}
             )
             # spanning tree through e_prime avoiding e
-            parent = {v: v for v in g.vertices}
-
-            def find(v):
-                while parent[v] != v:
-                    parent[v] = parent[parent[v]]
-                    v = parent[v]
-                return v
-
-            tree = []
-            order = [e_prime] + [
-                f for f in sorted(g.edge_ids) if f not in (e_prime, e)
-            ] + [e]
-            for f in order:
-                a, b = g.ends(f)
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    tree.append(f)
+            rest = [f for f in sorted(g.edge_ids) if f not in (e_prime, e)]
+            tree, _ = spanning_forest(g, [e_prime] + rest + [e])
             if e in tree:
                 continue
             d1 = contract_decorated(d, {e_prime})

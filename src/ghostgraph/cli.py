@@ -61,7 +61,8 @@ def main():
 
 def build_report(d, k: Optional[int]) -> dict:
     ell = d.ell
-    d0, _ = gamma0(d)
+    # gamma0 hands a faithful graph back as it is, so passing d0 on contracts once
+    d0 = gamma0(d)
     g0 = d0.graph
     fac = prime_factors(ell)
     prime = is_prime(ell)
@@ -90,14 +91,14 @@ def build_report(d, k: Optional[int]) -> dict:
             "tree_like": is_tree_like(g0),
         },
         "per_prime": per_prime,
-        "generated_by_quasireflections": generated_by_qr(d),
+        "generated_by_quasireflections": generated_by_qr(d0 if prime else d),
         "codimension": g0.n_edges,
         "multidegree": {str(v): dm(v) for v in d.graph.vertices},
     }
     if prime:
-        group = ghost_group(d)
-        qr = qr_subgroup(d)
-        s_age = stratum_age(d)
+        group = ghost_group(d0)
+        qr = qr_subgroup(d0)
+        s_age = stratum_age(d0)
         report["ghost_group_order"] = group.order
         report["qr_order"] = qr.order
         report["stratum_age"] = _rational(s_age)
@@ -109,7 +110,7 @@ def build_report(d, k: Optional[int]) -> dict:
         report["stratum_age"] = None
         report["junior"] = None
         report["admissible_k"] = None
-    vw = vine_witness(d)
+    vw = vine_witness(d0)
     report["vine_witness"] = (
         None
         if vw is None

@@ -15,6 +15,7 @@ from .graphs import (
     GraphError,
     Multigraph,
     fundamental_circuits,
+    spanning_forest,
     spanning_tree,
     _check_spanning_tree,
     tree_path,
@@ -223,27 +224,12 @@ def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
     tset = _check_spanning_tree(g, t)
     if e not in tset:
         raise GraphError("cut edge must lie in the spanning tree")
-    # component of the head of e in t - e
-    head_side = {g.ends(e)[1]}
-    changed = True
-    while changed:
-        changed = False
-        for f in tset:
-            if f == e:
-                continue
-            a, b = g.ends(f)
-            if (a in head_side) != (b in head_side):
-                head_side.update((a, b))
-                changed = True
-    vals = {}
-    for f, (a, b) in g.edges.items():
-        va, vb = a in head_side, b in head_side
-        if va and not vb:
-            vals[f] = -1
-        elif vb and not va:
-            vals[f] = 1
-        else:
-            vals[f] = 0
+    _, component = spanning_forest(g, tset - {e})
+    head_side = component[g.ends(e)[1]]
+    vals = {
+        f: (component[b] == head_side) - (component[a] == head_side)
+        for f, (a, b) in g.edges.items()
+    }
     return OneCochain(g, ell, vals)
 
 
@@ -293,13 +279,12 @@ def solve_boundary(d0: ZeroCochain) -> OneCochain:
         raise CochainError("total sum nonzero: no solution")
     t = spanning_tree(g)
     remaining = {v: d0(v) for v in g.vertices}
-    tree_adj: dict[int, set[int]] = {v: set() for v in g.vertices}
+    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
     for e in t:
-        a, b = g.ends(e)
-        tree_adj[a].add(e)
-        tree_adj[b].add(e)
+        for v in g.ends(e):
+            adj[v].add(e)
     vals = {e: 0 for e in g.edge_ids}
-    adj = {v: set(tree_adj[v]) for v in g.vertices}
+    # peel leaves; each vertex is a leaf once, the last one has no edge left
     leaves = [v for v in g.vertices if len(adj[v]) == 1]
     while leaves:
         v = leaves.pop()
@@ -308,16 +293,9 @@ def solve_boundary(d0: ZeroCochain) -> OneCochain:
         (e,) = adj[v]
         a, b = g.ends(e)
         other = b if a == v else a
-        # orient the needed amount into v
-        need = remaining[v] % ell
-        if g.ends(e)[1] == v:
-            vals[e] = need
-        else:
-            vals[e] = (-need) % ell
-        # the edge contributes -need at the other end
-        remaining[v] = 0
-        remaining[other] = (remaining[other] + need) % ell
-        adj[v].discard(e)
+        # orient what v still needs into v; the other end gives it up
+        vals[e] = remaining[v] if b == v else -remaining[v]
+        remaining[other] += remaining[v]
         adj[other].discard(e)
         if len(adj[other]) == 1:
             leaves.append(other)

@@ -92,26 +92,24 @@ class DecoratedGraph:
         return DecoratedGraph(self.graph, self.ell, self.m.scale(c), self.genus)
 
 
-def restrict_decoration(d: DecoratedGraph, contraction) -> DecoratedGraph:
-    """Carry M (and genus by summing merged vertices) onto a contraction."""
-    g = contraction.graph
-    vals = {e: d.m_value(e) for e in g.edge_ids}
+def contract_decorated(d: DecoratedGraph, edges) -> DecoratedGraph:
+    """Contract the edges, carrying M along and summing merged genus labels."""
+    g, vertex_map = contract_edges(d.graph, edges)
     genus = None
     if d.genus is not None:
         genus = {v: 0 for v in g.vertices}
         for v in d.graph.vertices:
-            genus[contraction.vertex_map[v]] += d.genus[v]
+            genus[vertex_map[v]] += d.genus[v]
+    vals = {e: d.m_value(e) for e in g.edge_ids}
     return DecoratedGraph(g, d.ell, OneCochain(g, d.ell, vals), genus)
 
 
-def contract_decorated(d: DecoratedGraph, edges) -> DecoratedGraph:
-    return restrict_decoration(d, contract_edges(d.graph, edges))
-
-
-def gamma0(d: DecoratedGraph) -> tuple[DecoratedGraph, dict[int, int]]:
-    """Contract exactly the M = 0 edges; the result is faithful."""
-    con = contract_edges(d.graph, d.zero_edges())
-    return restrict_decoration(d, con), con.edge_map
+def gamma0(d: DecoratedGraph) -> DecoratedGraph:
+    """Contract exactly the M = 0 edges; the result is faithful.  A faithful
+    d is returned as it is."""
+    if d.is_faithful():
+        return d
+    return contract_decorated(d, d.zero_edges())
 
 
 def gamma_nu(d: DecoratedGraph, p: int, k: int) -> Multigraph:

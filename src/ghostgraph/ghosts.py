@@ -39,8 +39,9 @@ from .graphs import (
     SizeBoundExceeded,
     is_tree_like,
     separating_edges,
+    spanning_forest,
 )
-from .modular import inverse_mod, solve_mod_prime
+from .modular import solve_mod_prime
 
 EXPANSION_BOUND = 10**7
 
@@ -57,15 +58,11 @@ def _require_prime(ell: int):
         raise DecorationError(f"operation needs a prime level, got {ell}")
 
 
-def _require_faithful(d: DecoratedGraph):
-    if not d.is_faithful():
-        raise DecorationError("decorated graph must be faithful; apply gamma0 first")
-
-
 def lifts(a: EvenFunction, d: DecoratedGraph) -> bool:
     """True iff the odd cochain a*M lies in im delta (circuit test)."""
     _require_prime(d.ell)
-    _require_faithful(d)
+    if not d.is_faithful():
+        raise DecorationError("decorated graph must be faithful; apply gamma0 first")
     prod = OneCochain(
         d.graph, d.ell, {e: a.on_edge(e) * d.m_value(e) for e in d.graph.edge_ids}
     )
@@ -107,23 +104,21 @@ def ghost_group(d: DecoratedGraph) -> GhostGroup:
     Order: ell^(#V0 - 1) for prime ell.
     """
     _require_prime(d.ell)
-    d0, _ = gamma0(d)
+    d0 = gamma0(d)
     g = d0.graph
     ell = d0.ell
-    t = spanning_tree(g)
-    gens = []
-    for b in cut_basis(g, t, ell):
-        vals = {
-            e: b.on_edge(e) * inverse_mod(d0.m_value(e), ell) for e in g.edge_ids
-        }
-        gens.append(EvenFunction(g, ell, vals))
+    inv_m = {e: pow(d0.m_value(e), -1, ell) for e in g.edge_ids}
+    gens = [
+        EvenFunction(g, ell, {e: b.on_edge(e) * inv_m[e] for e in g.edge_ids})
+        for b in cut_basis(g, spanning_tree(g), ell)
+    ]
     return GhostGroup(d0, gens, ell ** (g.n_vertices - 1))
 
 
 def qr_subgroup(d: DecoratedGraph) -> GhostGroup:
     """Subgroup generated by ghosts supported on one separating edge each."""
     _require_prime(d.ell)
-    d0, _ = gamma0(d)
+    d0 = gamma0(d)
     g = d0.graph
     ell = d0.ell
     gens = []
@@ -158,7 +153,7 @@ class AgeReport:
 
 def reduced_core(d: DecoratedGraph) -> DecoratedGraph:
     """gamma0 with loops and separating edges contracted to a fixpoint."""
-    core, _ = gamma0(d)
+    core = gamma0(d)
     while True:
         drop = set(core.graph.loops()) | set(separating_edges(core.graph))
         if not drop:
@@ -187,7 +182,7 @@ def minimal_age_report(
     for v in order:
         order.extend(w for w in sorted(g.neighbors(v)) if w not in order)
     pos = {v: i for i, v in enumerate(order)}
-    inv_m = {e: inverse_mod(core.m_value(e), ell) for e in g.edge_ids}
+    inv_m = {e: pow(core.m_value(e), -1, ell) for e in g.edge_ids}
     # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
     # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
     closing: list[dict[int, list[int]]] = [{} for _ in order]
@@ -245,7 +240,7 @@ def generated_by_qr(d: DecoratedGraph) -> bool:
     graph Gamma_p is tree-like for every prime divisor p.
     """
     if is_prime(d.ell):
-        d0, _ = gamma0(d)
+        d0 = gamma0(d)
         return is_tree_like(d0.graph)
     return all(is_tree_like(gamma_p(d, p)) for p in prime_factors(d.ell))
 
@@ -282,50 +277,19 @@ def alpha_beta(d: DecoratedGraph, p: int) -> tuple[list[int], list[int]]:
 def vine_witness(d: DecoratedGraph) -> Optional[tuple[frozenset[int], frozenset[int], int]]:
     """A 2-part vertex partition of the faithful graph contracting onto an
     n-vine with n >= 2, or None when the graph is tree-like."""
-    d0, _ = gamma0(d)
+    d0 = gamma0(d)
     g = d0.graph
-    if is_tree_like(g):
-        return None
     seps = separating_edges(g)
-    e = next(
-        e for e in sorted(g.edge_ids) if not g.is_loop(e) and e not in seps
-    )
-    tail, head = g.ends(e)
-    # build a spanning tree that contains e, then split it at e
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    order = [e] + [f for f in sorted(g.edge_ids) if f != e]
-    for f in order:
-        a, b = g.ends(f)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(f)
-    side = {tail}
-    changed = True
-    while changed:
-        changed = False
-        for f in tree:
-            if f == e:
-                continue
-            a, b = g.ends(f)
-            if (a in side) != (b in side):
-                side.update((a, b))
-                changed = True
-    part1 = frozenset(side)
+    e = min((e for e in g.edge_ids if not g.is_loop(e) and e not in seps), default=None)
+    if e is None:  # tree-like
+        return None
+    # a spanning tree through e, split at e
+    tree, _ = spanning_forest(g, [e] + [f for f in sorted(g.edge_ids) if f != e])
+    _, component = spanning_forest(g, [f for f in tree if f != e])
+    tail_side = component[g.ends(e)[0]]
+    part1 = frozenset(v for v in g.vertices if component[v] == tail_side)
     part2 = frozenset(g.vertices) - part1
-    n = sum(
-        1
-        for f, (a, b) in g.edges.items()
-        if (a in part1) != (b in part1)
-    )
+    n = sum((a in part1) != (b in part1) for a, b in g.edges.values())
     return part1, part2, n
 
 
@@ -345,12 +309,10 @@ class CoverDecomposition:
         columns = []
         owners = []
         for idx, dec in enumerate(self.graphs):
-            group = ghost_group(dec)
-            for gen in group.generators:
-                col = []
-                for e in edge_ids:
-                    col.append(gen.on_edge(e) if e in dec.graph.edge_ids else 0)
-                columns.append(col)
+            for gen in ghost_group(dec).generators:
+                columns.append(
+                    [gen.on_edge(e) if e in dec.graph.edge_ids else 0 for e in edge_ids]
+                )
                 owners.append(idx)
         matrix = [
             [columns[j][i] for j in range(len(columns))]
@@ -381,7 +343,7 @@ def cover_decompose(
     2-part covers the rank condition #V0 - 1 = sum(#Vi - 1) is recorded.
     """
     _require_prime(d.ell)
-    d0, _ = gamma0(d)
+    d0 = gamma0(d)
     g = d0.graph
     part_sets = [frozenset(p) for p in parts]
     all_edges = frozenset(g.edge_ids)

@@ -158,7 +158,31 @@ class Multigraph:
 class Contraction(NamedTuple):
     graph: Multigraph
     vertex_map: dict[int, int]
-    edge_map: dict[int, int]
+
+
+def spanning_forest(g: Multigraph, edges: Iterable[int]) -> tuple[list[int], dict[int, int]]:
+    """Kruskal over ``edges`` in the order given.
+
+    Returns the edges that joined two components, in that order, and for
+    every vertex the smallest vertex of its component.
+    """
+    parent = {v: v for v in g.vertices}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    joined = []
+    for e in edges:
+        t, h = g.ends(e)
+        rt, rh = find(t), find(h)
+        if rt != rh:
+            # the smaller root stays a root, so each root is its class minimum
+            parent[max(rt, rh)] = min(rt, rh)
+            joined.append(e)
+    return joined, {v: find(v) for v in g.vertices}
 
 
 def contract_edges(g: Multigraph, f: Iterable[int]) -> Contraction:
@@ -168,32 +192,13 @@ def contract_edges(g: Multigraph, f: Iterable[int]) -> Contraction:
     their merged class.  Loops created by the contraction are kept.
     """
     fset = set(f)
-    for e in fset:
-        g.ends(e)
-    parent = {v: v for v in g.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in fset:
-        t, h = g.ends(e)
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            lo, hi = min(rt, rh), max(rt, rh)
-            parent[hi] = lo
-    vertex_map = {v: find(v) for v in g.vertices}
-    new_vertices = sorted(set(vertex_map.values()))
+    _, vertex_map = spanning_forest(g, fset)
     new_edges = {
         e: (vertex_map[t], vertex_map[h])
         for e, (t, h) in g.edges.items()
         if e not in fset
     }
-    graph = Multigraph(new_vertices, new_edges)
-    edge_map = {e: e for e in new_edges}
-    return Contraction(graph, vertex_map, edge_map)
+    return Contraction(Multigraph(vertex_map.values(), new_edges), vertex_map)
 
 
 def separating_edges(g: Multigraph) -> frozenset[int]:
@@ -237,44 +242,16 @@ def separating_edges(g: Multigraph) -> frozenset[int]:
 
 def spanning_tree(g: Multigraph) -> frozenset[int]:
     """Lowest-edge-id spanning tree (Kruskal on edge ids)."""
-    parent = {v: v for v in g.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = set()
-    for e in sorted(g.edge_ids):
-        t, h = g.ends(e)
-        rt, rh = find(t), find(h)
-        if rt != rh:
-            parent[rt] = rh
-            tree.add(e)
-    return frozenset(tree)
+    return frozenset(spanning_forest(g, sorted(g.edge_ids))[0])
 
 
 def _check_spanning_tree(g: Multigraph, t: Iterable[int]) -> frozenset[int]:
     tset = frozenset(t)
-    for e in tset:
-        g.ends(e)
+    joined, _ = spanning_forest(g, tset)
     if len(tset) != g.n_vertices - 1:
         raise GraphError("not a spanning tree: wrong edge count")
-    parent = {v: v for v in g.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in tset:
-        a, b = g.ends(e)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise GraphError("not a spanning tree: contains a circuit")
-        parent[ra] = rb
+    if len(joined) < len(tset):
+        raise GraphError("not a spanning tree: contains a circuit")
     return tset
 
 
@@ -314,16 +291,11 @@ def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
     A loop yields a length-1 circuit.
     """
     tset = _check_spanning_tree(g, t)
-    circuits = []
-    for e in sorted(g.edge_ids):
-        if e in tset:
-            continue
-        d = (e, 0)
-        if g.is_loop(e):
-            circuits.append([d])
-        else:
-            circuits.append([d] + tree_path(g, tset, g.head(d), g.tail(d)))
-    return circuits
+    return [
+        [(e, 0)] + tree_path(g, tset, g.ends(e)[1], g.ends(e)[0])
+        for e in sorted(g.edge_ids)
+        if e not in tset
+    ]
 
 
 def betti1(g: Multigraph) -> int:

@@ -5,11 +5,6 @@ from __future__ import annotations
 from typing import Optional
 
 
-def inverse_mod(a: int, ell: int) -> int:
-    """Multiplicative inverse of a mod ell; raises if not invertible."""
-    return pow(a, -1, ell)
-
-
 def solve_mod_prime(
     matrix: list[list[int]], rhs: list[int], p: int
 ) -> Optional[list[int]]:
@@ -27,7 +22,7 @@ def solve_mod_prime(
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = inverse_mod(a[r][c], p)
+        inv = pow(a[r][c], -1, p)
         a[r] = [(x * inv) % p for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c] % p != 0:

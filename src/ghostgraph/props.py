@@ -107,6 +107,30 @@ def prop_sep_stable(rng: random.Random, n: int) -> PropertyResult:
     return _run("contraction keeps separating edges separating", rng, n, case)
 
 
+@_prop("graph", "contraction names each merged class by its smallest vertex")
+def prop_contraction_names(rng, n):
+    def case(rng):
+        g = random_connected_multigraph(rng)
+        f = {e for e in g.edge_ids if rng.random() < 0.5}
+        vertex_map = gr.contract_edges(g, f).vertex_map
+        adj = {v: set() for v in g.vertices}
+        for e in f:
+            a, b = g.ends(e)
+            adj[a].add(b)
+            adj[b].add(a)
+        for v in g.vertices:
+            seen, queue = {v}, [v]
+            for x in queue:
+                for y in adj[x] - seen:
+                    seen.add(y)
+                    queue.append(y)
+            if vertex_map[v] != min(seen):
+                return f"contracting {sorted(f)} maps {v} to {vertex_map[v]}, not {min(seen)}"
+        return None
+
+    return _run("contraction names each merged class by its smallest vertex", rng, n, case)
+
+
 @_prop("graph", "spanning tree contains every separating edge")
 def prop_tree_contains_seps(rng, n):
     def case(rng):
@@ -198,7 +222,7 @@ def prop_gamma0(rng, n):
         ell = rng.choice([2, 3, 5, 7])
         g = random_connected_multigraph(rng)
         d = random_decorated(rng, g, ell)
-        d0, _ = dec.gamma0(d)
+        d0 = dec.gamma0(d)
         if not d0.is_faithful():
             return "gamma0 left a zero edge"
         if dec.gamma_p(d, ell) != d0.graph:

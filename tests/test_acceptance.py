@@ -262,7 +262,7 @@ class TestCriterion5OracleEquivalence:
         for g in corpus:
             for vals in scaling_slice(g.n_edges, ell):
                 d = dec(g, ell, dict(zip(g.edge_ids, vals)))
-                d0, _ = gamma0(d)
+                d0 = gamma0(d)
                 assert group_set(ghost_group(d)) == brute_ghost_set(d0)
                 assert group_set(qr_subgroup(d)) == brute_qr_set(d0)
                 expected = brute_stratum_age(d)

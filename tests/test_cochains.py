@@ -120,6 +120,19 @@ class TestPairing:
         assert pairing(OneCochain(g, 5, {0: 0, 1: 0}), OneCochain(g, 5, {0: 1, 1: 2})) == 0
 
 
+def reachable(g, edges, start):
+    """The vertices joined to start by the given edges, by breadth-first search."""
+    seen, queue = {start}, [start]
+    for x in queue:
+        for f in edges:
+            a, b = g.ends(f)
+            for u, w in ((a, b), (b, a)):
+                if u == x and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return seen
+
+
 class TestCuts:
     def test_vine_cut(self):
         g = vine(2)
@@ -135,6 +148,18 @@ class TestCuts:
         g = theta()
         (b,) = cut_basis(g, spanning_tree(g), 5)
         assert b.support() == frozenset({0, 1, 2})
+
+    def test_cut_is_delta_of_head_side(self):
+        for g in connected_multigraphs(4):
+            t = spanning_tree(g)
+            for e in t:
+                head_side = reachable(g, t - {e}, g.ends(e)[1])
+                indicator = ZeroCochain(
+                    g, 5, {v: int(v in head_side) for v in g.vertices}
+                )
+                c = cut(g, t, e, 5)
+                assert c == delta(indicator)
+                assert c.on_edge(e) == 1
 
     def test_basis_size_and_membership(self):
         for g in connected_multigraphs(4):

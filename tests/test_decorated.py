@@ -43,34 +43,32 @@ def dec(g, ell, values, genus=None):
 class TestGamma0:
     def test_all_zero(self):
         d = dec(vine(2), 3, {0: 0, 1: 0})
-        d0, emap = gamma0(d)
+        d0 = gamma0(d)
         assert d0.graph.n_vertices == 1
         assert d0.graph.n_edges == 0
-        assert emap == {}
 
     def test_all_nonzero_identity(self):
         d = dec(vine(2), 3, {0: 1, 1: 2})
-        d0, emap = gamma0(d)
+        d0 = gamma0(d)
         assert d0 == d
-        assert emap == {0: 0, 1: 1}
 
     def test_zero_edge_makes_loops(self):
         d = dec(vine(3), 3, {0: 1, 1: 0, 2: 2})
-        d0, _ = gamma0(d)
+        d0 = gamma0(d)
         assert d0.graph.n_vertices == 1
         assert d0.graph.loops() == frozenset({0, 2})
         assert d0.m_value(0) == 1 and d0.m_value(2) == 2
 
     def test_output_faithful(self):
         d = dec(vine(3), 6, {0: 0, 1: 3, 2: 0})
-        d0, _ = gamma0(d)
+        d0 = gamma0(d)
         assert d0.is_faithful()
 
 
 class TestGammaNu:
     def test_prime_equals_gamma0(self):
         d = dec(vine(3), 5, {0: 1, 1: 0, 2: 2})
-        assert gamma_p(d, 5) == gamma0(d)[0].graph
+        assert gamma_p(d, 5) == gamma0(d).graph
 
     def test_ell4_example(self):
         d = dec(vine(2), 4, {0: 2, 1: 1})

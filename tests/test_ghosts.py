@@ -19,6 +19,7 @@ from ghostgraph import (
     inverse,
     is_junior,
     is_supported,
+    is_tree_like,
     lifts,
     qr_subgroup,
     stratum_age,
@@ -29,6 +30,7 @@ from ghostgraph.graphs import SizeBoundExceeded
 
 from oracles import (
     brute_ghost_set,
+    connected_multigraphs,
     brute_qr_set,
     brute_stratum_age,
     group_set,
@@ -264,6 +266,26 @@ class TestVineWitness:
             1 for t, h in g.edges.values() if (t in p1) != (h in p1)
         )
         assert n == crossing >= 2
+
+    def test_parts_on_small_graphs(self):
+        for g in connected_multigraphs(4):
+            witness = vine_witness(dec(g, 5, {e: 1 for e in g.edge_ids}))
+            if witness is None:
+                assert is_tree_like(g)
+                continue
+            p1, p2, n = witness
+            assert p1 | p2 == frozenset(g.vertices) and not p1 & p2
+            for part in (p1, p2):
+                seen, queue = {min(part)}, [min(part)]
+                for x in queue:
+                    for t, h in g.edges.values():
+                        for u, w in ((t, h), (h, t)):
+                            if u == x and w in part and w not in seen:
+                                seen.add(w)
+                                queue.append(w)
+                assert seen == part
+            crossing = sum(1 for t, h in g.edges.values() if (t in p1) != (h in p1))
+            assert n == crossing >= 2
 
 
 class TestCoverDecompose:

@@ -75,7 +75,6 @@ class TestContraction:
         out = contract_edges(g, set())
         assert out.graph == g
         assert out.vertex_map == {v: v for v in g.vertices}
-        assert out.edge_map == {e: e for e in g.edge_ids}
 
     def test_unknown_edge(self):
         with pytest.raises(GraphError):
@@ -144,6 +143,12 @@ class TestCircuits:
     def test_bad_tree_rejected(self):
         with pytest.raises(GraphError):
             fundamental_circuits(vine(2), {0, 1})
+
+    def test_tree_with_circuit_rejected(self):
+        # the right edge count, but the two parallel edges close a circuit
+        g = Multigraph(range(3), [(0, 1), (0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="circuit"):
+            fundamental_circuits(g, {0, 1})
 
 
 class TestBetti:

@@ -128,7 +128,7 @@ def test_canonical_code_invariant(g, perm):
 @settings(max_examples=40, deadline=None)
 @given(decorated_graphs(faithful=False))
 def test_gamma0_faithful_and_group_lifts(d):
-    d0, _ = gamma0(d)
+    d0 = gamma0(d)
     assert d0.is_faithful()
     group = ghost_group(d)
     for gen in group.generators:
