@@ -1,13 +1,15 @@
 """Exhaustive classification of junior strata for prime levels.
 
 A class is an isomorphism class of decorated graphs (loopless bridgeless
-base, faithful decoration).  For every base graph all decorations are
-scanned in one vectorized pass: an even function of age below 1 has rep
-values summing to less than ell, so the junior witnesses live in a small
-candidate set that is independent of the decoration.  The junior rows are
-then grouped into classes by the base graph's own automorphisms, also in
-numpy: each row maps to the smallest decoration in its orbit, so the
-Python work (canonical code, witness, admissible k) runs once per class.
+base, faithful decoration).  An even function of age below 1 has rep
+values summing to less than ell, so the junior witnesses a live in a small
+candidate set, and a is a witness for M exactly when a M = delta(phi) for
+a potential phi.  For every base graph the junior rows are generated from
+these (phi, a) pairs in one numpy pass over all decorations.  The junior
+rows are then grouped into classes by the base graph's own automorphisms,
+also in numpy: each row maps to the smallest decoration in its orbit, so
+the Python work (canonical code, witness, admissible k) runs once per
+class.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from .graphs import (
     SizeBoundExceeded,
     canonical_code,
     enumerate_base_graphs,
-    fundamental_circuits,
     spanning_forest,
-    spanning_tree,
     vertex_automorphisms,
 )
 
@@ -84,31 +84,10 @@ def vine_notation(d: DecoratedGraph) -> Optional[tuple[int, ...]]:
 
 
 def _candidate_matrix(n_edges: int, ell: int):
-    """All nonzero rep vectors with entry sum below ell."""
-    rows = []
-
-    def rec(i: int, budget: int, acc: list[int]):
-        if i == n_edges:
-            if any(acc):
-                rows.append(tuple(acc))
-            return
-        for v in range(budget + 1):
-            acc.append(v)
-            rec(i + 1, budget - v, acc)
-            acc.pop()
-
-    rec(0, ell - 1, [])
-    return np.array(rows, dtype=np.int64)
-
-
-def _circuit_matrix(g: Multigraph) -> np.ndarray:
-    edge_index = {e: i for i, e in enumerate(g.edge_ids)}
-    circuits = fundamental_circuits(g, spanning_tree(g))
-    mat = np.zeros((len(circuits), g.n_edges), dtype=np.int64)
-    for r, circ in enumerate(circuits):
-        for (e, side) in circ:
-            mat[r, edge_index[e]] += 1 if side == 0 else -1
-    return mat
+    """All nonzero rep vectors with entry sum below ell, in lexicographic
+    order: the gaps between n_edges bars among ell - 1 + n_edges slots."""
+    bars = np.array(list(itertools.combinations(range(ell - 1 + n_edges), n_edges)))
+    return (np.diff(bars, axis=1, prepend=-1) - 1)[1:]
 
 
 @dataclass
@@ -122,72 +101,56 @@ class _GraphScan:
     maximal: np.ndarray  # (n,) bool: every junior witness fully supported
 
 
-def scan_graph(g: Multigraph, ell: int, chunk: int = 8192) -> _GraphScan:
-    """Vectorized junior scan over every all-nonzero decoration of g.
+def scan_graph(g: Multigraph, ell: int) -> _GraphScan:
+    """Junior flags, minimal ages and witnesses of every all-nonzero
+    decoration M of g, generated from (potential, witness) pairs.
 
-    A witness a is valid for M iff every circuit sum of aM vanishes; those
-    sums are bilinear, so for each circuit they factor as one dense float
-    multiply M @ C with C[e, c] = cand[c, e] * circ[k, e] per decoration
-    chunk.  Entries stay far below 2**24, so float32 arithmetic is exact,
-    and s = 0 mod ell is tested as rint(s/ell)*ell == s without leaving
-    float.  Since a is valid for M exactly when it is valid for u*M for
-    any unit u, only decorations with first entry 1 are scanned and the
-    flags are transferred along the scaling orbits.
+    A candidate a (rep values with 0 < sum a < ell) is a witness for M iff
+    a M = delta(phi) for a potential phi with phi = 0 at the first vertex.
+    As M is nowhere zero, a and delta(phi) then share their zero pattern
+    S, M = delta(phi) / a on S, and M is free off S.  Per pattern S the
+    pairs are reduced onto the (ell-1)^|S| grid of M on S by the minimum
+    key (sum a) * n_c + row: the minimal age, then the first candidate
+    row of that age.  Each sub-grid is broadcast into the (ell-1)^E grid
+    of all decorations; a decoration is maximal when only the full edge
+    set reached it.  Memory: a few arrays over that grid plus one
+    pattern's pairs, at most ell^(#V-1) * C(ell-1, |S|) rows of |S|.
     """
-    n_e = g.n_edges
+    n_e, n_v = g.n_edges, g.n_vertices
     cands = _candidate_matrix(n_e, ell)
     n_c = cands.shape[0]
-    ages = cands.sum(axis=1)
-    has_zero = (cands == 0).any(axis=1)
-    circ = _circuit_matrix(g)
-    # one (E, n_c) float block per circuit
-    blocks = [
-        (cands * circ[k][None, :]).T.astype(np.float32)
-        for k in range(circ.shape[0])
-    ]
-    ranges = [np.arange(1, ell)] * n_e
-    grids = np.meshgrid(*ranges, indexing="ij")
-    decorations = np.stack([a.ravel() for a in grids], axis=1)
-    # scan one decoration per scaling orbit: first entry fixed to 1
-    reduced = decorations[decorations[:, 0] == 1]
-    n_red = reduced.shape[0]
-    junior_r = np.zeros(n_red, dtype=bool)
-    maximal_r = np.zeros(n_red, dtype=bool)
-    age_num_r = np.zeros(n_red, dtype=np.int64)
-    witness_r = np.zeros(n_red, dtype=np.int64)
-    big = np.int64(10 * ell)
-    inv_ell = np.float32(1.0 / ell)
-    f_ell = np.float32(ell)
-    for start in range(0, n_red, chunk):
-        m_chunk = reduced[start : start + chunk].astype(np.float32)
-        valid = None
-        for block in blocks:
-            s = m_chunk @ block
-            ok = np.rint(s * inv_ell) * f_ell == s
-            valid = ok if valid is None else (valid & ok)
-        if valid is None:  # no circuits: every candidate lifts
-            valid = np.ones((m_chunk.shape[0], n_c), dtype=bool)
-        any_valid = valid.any(axis=1)
-        masked = np.where(valid, ages[None, :], big)
-        sl = slice(start, start + m_chunk.shape[0])
-        junior_r[sl] = any_valid
-        witness_r[sl] = masked.argmin(axis=1)
-        age_num_r[sl] = np.where(any_valid, masked.min(axis=1), 0)
-        unsupported = (valid & has_zero[None, :]).any(axis=1)
-        maximal_r[sl] = any_valid & ~unsupported
-    # transfer along scaling orbits: index of u^{-1} M in the reduced grid
-    inv_table = np.array([0] + [pow(v, -1, ell) for v in range(1, ell)])
-    reps = (decorations * inv_table[decorations[:, 0]][:, None]) % ell
-    powers = (ell - 1) ** np.arange(n_e - 2, -1, -1) if n_e > 1 else np.array([], dtype=np.int64)
-    rep_idx = (reps[:, 1:] - 1) @ powers if n_e > 1 else np.zeros(len(reps), dtype=np.int64)
+    keys_c = cands.sum(axis=1) * n_c + np.arange(n_c)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    tails, heads = (np.array([pos[v] for v in ends]) for ends in zip(*g.edges.values()))
+    phi = np.indices((1,) + (ell,) * (n_v - 1)).reshape(n_v, -1).T
+    cob = (phi[:, heads] - phi[:, tails]) % ell
+    bits = 1 << np.arange(n_e)
+    cob_mask = (cob != 0) @ bits
+    cand_mask = (cands != 0) @ bits
+    inv = np.array([0] + [pow(v, -1, ell) for v in range(1, ell)])
+    big = ell * n_c
+    supported = np.full((ell - 1,) * n_e, big)  # keys of fully supported witnesses
+    partial = np.full((ell - 1,) * n_e, big)  # keys of witnesses with a zero entry
+    for s in sorted(set(cob_mask.tolist()) & set(cand_mask.tolist())):
+        cols = np.nonzero(s & bits)[0]
+        rows = np.nonzero(cand_mask == s)[0]
+        m = cob[cob_mask == s][:, None, cols] * inv[cands[rows][:, cols]] % ell
+        sub = np.full((ell - 1) ** cols.size, big)
+        index = (m - 1) @ (ell - 1) ** np.arange(cols.size - 1, -1, -1)
+        np.minimum.at(sub, index.ravel(), np.tile(keys_c[rows], m.shape[0]))
+        target = supported if cols.size == n_e else partial
+        sub = sub.reshape([ell - 1 if s >> i & 1 else 1 for i in range(n_e)])
+        np.minimum(target, sub, out=target)
+    keys = np.minimum(supported, partial).ravel()
+    junior = keys < big
     return _GraphScan(
         g,
-        decorations,
-        junior_r[rep_idx],
-        age_num_r[rep_idx],
-        witness_r[rep_idx],
+        np.indices((ell - 1,) * n_e).reshape(n_e, -1).T + 1,
+        junior,
+        np.where(junior, keys // n_c, 0),
+        np.where(junior, keys % n_c, 0),
         cands,
-        maximal_r[rep_idx],
+        junior & (partial.ravel() == big),
     )
 
 
@@ -292,49 +255,53 @@ def _orbit_minima(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
 def _classify_cached(
     ell: int, max_edges: int, only_maximal: bool
 ) -> tuple[StratumClass, ...]:
-    classes: list[StratumClass] = []
+    # scan every base graph and test the bound before any per-class work,
+    # keeping only the rows that will be bucketed into classes
+    found = []
     for g in enumerate_base_graphs(max_edges):
         scan = scan_graph(g, ell)
         mask = scan.junior & scan.maximal if only_maximal else scan.junior
         idxs = np.nonzero(mask)[0]
-        if idxs.size == 0:
-            continue
         if idxs.size > BUCKET_BOUND:
             raise SizeBoundExceeded(
                 f"{idxs.size} junior decorations on one graph exceed the "
                 f"bucketing bound; restrict to maximal classes or fewer edges"
             )
-        minima = _orbit_minima(g, ell, scan.decorations[idxs])
+        if idxs.size:
+            found.append((g, idxs, scan.decorations[idxs], scan.age_num[idxs],
+                          scan.candidates[scan.witness_idx[idxs]], scan.maximal[idxs]))
+    classes: list[StratumClass] = []
+    for g, idxs, rows, age_num, witnesses, maximal in found:
+        minima = _orbit_minima(g, ell, rows)
         reps, inverse, counts = np.unique(
             minima, return_inverse=True, return_counts=True
         )
-        assert (scan.maximal[idxs] == scan.maximal[reps][inverse]).all(), (
+        # an orbit minimum is isomorphic to kept rows, so it is kept itself
+        at = np.searchsorted(idxs, reps)
+        assert (idxs[at] == reps).all(), "kept rows must be orbit invariant"
+        assert (maximal == maximal[at][inverse]).all(), (
             "maximality must be orbit invariant"
         )
-        for rep_i, orbit_size in zip(reps, counts):
-            rep = _decorated_from_vector(g, ell, scan.decorations[rep_i])
-            cand = scan.candidates[scan.witness_idx[rep_i]]
+        for i, orbit_size in zip(at, counts):
+            rep = _decorated_from_vector(g, ell, rows[i])
             witness = EvenFunction(
-                g, ell, {e: int(v) for e, v in zip(g.edge_ids, cand)}
+                g, ell, {e: int(v) for e, v in zip(g.edge_ids, witnesses[i])}
             )
-            cls = StratumClass(
+            classes.append(StratumClass(
                 decorated=rep,
                 code=decoration_code(rep),
                 vine=vine_notation(rep),
-                age=Fraction(int(scan.age_num[rep_i]), ell),
+                age=Fraction(int(age_num[i]), ell),
                 witness=witness,
                 codimension=g.n_edges,
                 admissible_k=admissible_k(rep),
                 orbit_size=int(orbit_size),
-                maximal=bool(scan.maximal[rep_i]),
-            )
-            classes.append(cls)
+                maximal=bool(maximal[i]),
+            ))
     classes.sort(
         key=lambda c: (c.decorated.graph.n_edges, c.decorated.graph.n_vertices, c.code)
     )
-    for c in classes:
-        if c.maximal:
-            assert c.decorated.graph.n_edges < ell
+    assert all(c.decorated.graph.n_edges < ell for c in classes if c.maximal)
     return tuple(classes)
 
 

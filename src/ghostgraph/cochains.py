@@ -18,7 +18,7 @@ from .graphs import (
     spanning_forest,
     spanning_tree,
     _check_spanning_tree,
-    tree_path,
+    _tree_path,
 )
 
 
@@ -224,6 +224,10 @@ def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
     tset = _check_spanning_tree(g, t)
     if e not in tset:
         raise GraphError("cut edge must lie in the spanning tree")
+    return _cut(g, tset, e, ell)
+
+
+def _cut(g: Multigraph, tset: frozenset[int], e: int, ell: int) -> OneCochain:
     _, component = spanning_forest(g, tset - {e})
     head_side = component[g.ends(e)[1]]
     vals = {
@@ -236,7 +240,7 @@ def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
 def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
     """One cut per tree edge; a basis of im delta (#V - 1 elements)."""
     tset = _check_spanning_tree(g, t)
-    return [cut(g, tset, e, ell) for e in sorted(tset)]
+    return [_cut(g, tset, e, ell) for e in sorted(tset)]
 
 
 def circuit_sum(b, circuit: list[Dart]) -> int:
@@ -253,13 +257,13 @@ def in_image_delta(b: OneCochain) -> bool:
 def solve_delta(b: OneCochain) -> ZeroCochain:
     """A potential a with delta a = b, normalized to 0 at the lowest vertex."""
     g = b.graph
-    t = spanning_tree(g)
+    t = spanning_tree(g)  # valid by construction: walk it unchecked
     base = g.vertices[0]
     vals = {base: 0}
     for v in g.vertices:
         if v not in vals:
             acc = 0
-            for d in tree_path(g, t, base, v):
+            for d in _tree_path(g, t, base, v):
                 acc += b.on_dart(d)
             vals[v] = acc % b.ell
     a = ZeroCochain(g, b.ell, vals)

@@ -257,7 +257,10 @@ def _check_spanning_tree(g: Multigraph, t: Iterable[int]) -> frozenset[int]:
 
 def tree_path(g: Multigraph, t: Iterable[int], u: int, v: int) -> list[Dart]:
     """The unique dart path from u to v inside the spanning tree t."""
-    tset = _check_spanning_tree(g, t)
+    return _tree_path(g, _check_spanning_tree(g, t), u, v)
+
+
+def _tree_path(g: Multigraph, tset: frozenset[int], u: int, v: int) -> list[Dart]:
     if u == v:
         return []
     prev: dict[int, Dart] = {}
@@ -292,7 +295,7 @@ def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
     """
     tset = _check_spanning_tree(g, t)
     return [
-        [(e, 0)] + tree_path(g, tset, g.ends(e)[1], g.ends(e)[0])
+        [(e, 0)] + _tree_path(g, tset, g.ends(e)[1], g.ends(e)[0])
         for e in sorted(g.edge_ids)
         if e not in tset
     ]

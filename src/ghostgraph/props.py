@@ -354,6 +354,29 @@ def prop_classify_scale(rng, n):
     return _run("scaling symmetry of the junior classification", rng, n, case)
 
 
+@_prop("classify", "scan_graph rows agree with minimal_age_report")
+def prop_scan_ages(rng, n):
+    from .classify import _decorated_from_vector, scan_graph
+
+    def case(rng):
+        ell = rng.choice([3, 5, 7])
+        g = rng.choice(gr.enumerate_base_graphs(min(ell - 1, 5)))
+        scan = scan_graph(g, ell)
+        for i in rng.sample(range(len(scan.decorations)), min(10, len(scan.decorations))):
+            d = _decorated_from_vector(g, ell, scan.decorations[i])
+            best = gh.minimal_age_report(d).age
+            cand = scan.candidates[scan.witness_idx[i]]
+            a = co.EvenFunction(g, ell, {e: int(v) for e, v in zip(g.edge_ids, cand)})
+            got = Fraction(int(scan.age_num[i]), ell) if scan.junior[i] else None
+            if got != (best if best < 1 else None) or got and not (
+                gh.lifts(a, d) and gh.age(a) == got
+            ):
+                return f"{d}: scan age {got} with witness {a}, minimal age {best}"
+        return None
+
+    return _run("scan_graph rows agree with minimal_age_report", rng, n, case)
+
+
 SCOPES = tuple(_REGISTRY)
 
 

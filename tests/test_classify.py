@@ -3,15 +3,18 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ghostgraph import (
     DecoratedGraph,
     DecorationError,
     Multigraph,
+    OneCochain,
     SizeBoundExceeded,
     classify_junior,
     contracts_to,
+    enumerate_base_graphs,
     enumerate_decorations,
     genus_labeling,
     lifts,
@@ -23,7 +26,7 @@ from ghostgraph import (
 from ghostgraph.classify import BUCKET_BOUND, decoration_code, scan_graph
 from ghostgraph.ghosts import age, is_supported
 
-from oracles import brute_junior_classes, brute_stratum_age
+from oracles import brute_in_image_delta, brute_junior_classes, brute_stratum_age
 
 
 def vine(n):
@@ -99,6 +102,38 @@ class TestScanGraph:
                 assert Fraction(int(scan.age_num[i]), ell) == expected
             else:
                 assert expected >= 1
+
+    @pytest.mark.parametrize("ell,max_edges", [(5, 4), (7, 4)])
+    def test_matches_brute_lifts(self, ell, max_edges):
+        """Every decoration of every base graph against the definition:
+        the candidates a (0 < sum a < ell, lexicographic order) whose a M
+        lies in im delta, by the brute-force membership oracle."""
+        for g in enumerate_base_graphs(max_edges):
+            n_e = g.n_edges
+            scan = scan_graph(g, ell)
+            decorations = list(itertools.product(range(1, ell), repeat=n_e))
+            assert scan.decorations.tolist() == [list(m) for m in decorations]
+            cands = [
+                a for a in itertools.product(range(ell), repeat=n_e) if 0 < sum(a) < ell
+            ]
+            # in_image[code(b)] for every edge vector b, code in base ell
+            in_image = np.array([
+                brute_in_image_delta(OneCochain(g, ell, dict(zip(g.edge_ids, b))))
+                for b in itertools.product(range(ell), repeat=n_e)
+            ])
+            powers = ell ** np.arange(n_e - 1, -1, -1)
+            products = np.array(decorations)[:, None, :] * np.array(cands)[None] % ell
+            lifting = in_image[products @ powers]
+            for i in range(len(decorations)):
+                found = [cands[c] for c in np.nonzero(lifting[i])[0]]
+                assert scan.junior[i] == bool(found)
+                if not found:
+                    assert not scan.maximal[i]
+                    continue
+                best = min(found, key=sum)  # the first of minimal age
+                assert scan.age_num[i] == sum(best)
+                assert tuple(scan.candidates[scan.witness_idx[i]]) == best
+                assert scan.maximal[i] == all(all(a) for a in found)
 
     def test_witness_validity(self):
         g = Multigraph(range(3), [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
