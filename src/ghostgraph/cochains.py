@@ -18,7 +18,7 @@ from .graphs import (
     spanning_forest,
     spanning_tree,
     _check_spanning_tree,
-    _tree_path,
+    _rooted_tree,
 )
 
 
@@ -257,15 +257,12 @@ def in_image_delta(b: OneCochain) -> bool:
 def solve_delta(b: OneCochain) -> ZeroCochain:
     """A potential a with delta a = b, normalized to 0 at the lowest vertex."""
     g = b.graph
-    t = spanning_tree(g)  # valid by construction: walk it unchecked
-    base = g.vertices[0]
-    vals = {base: 0}
-    for v in g.vertices:
-        if v not in vals:
-            acc = 0
-            for d in _tree_path(g, t, base, v):
-                acc += b.on_dart(d)
-            vals[v] = acc % b.ell
+    # spanning_tree is valid by construction: root it unchecked
+    order, parent, _ = _rooted_tree(g, spanning_tree(g))
+    vals = {order[0]: 0}
+    for v in order[1:]:
+        d = parent[v]
+        vals[v] = (vals[g.tail(d)] + b.on_dart(d)) % b.ell
     a = ZeroCochain(g, b.ell, vals)
     if delta(a) != b:
         raise CochainError("cochain is not in the image of delta")

@@ -4,10 +4,12 @@ A ghost automorphism is an even Z/ell function a on the faithful part of
 the graph; it belongs to the automorphism group of the root iff the odd
 cochain a*M lies in im delta.  At a prime level every M(e) there is a unit,
 so the ghosts are exactly a = delta(phi) * M^-1, one for each potential phi
-in (Z/ell)^V up to constants.  Ages are exact rationals; the stratum age
-minimizes over the quotient graph with loops and separating edges
-contracted, which quotients out the quasireflections, by branch-and-bound
-over potentials.
+in (Z/ell)^V up to constants, and every ghost here is built that way: the
+group from the potentials 1_v, the age witness from the best potential.
+A disjoint edge cover splits a ghost into its restrictions to the parts.
+Ages are exact rationals; the stratum age minimizes over the quotient
+graph with loops and separating edges contracted, which quotients out the
+quasireflections, by branch-and-bound over potentials.
 """
 
 from __future__ import annotations
@@ -16,15 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .cochains import (
-    EvenFunction,
-    OneCochain,
-    cut_basis,
-    in_image_delta,
-    spanning_tree,
-)
+from .cochains import EvenFunction, OneCochain, in_image_delta
 from .decorated import (
     DecoratedGraph,
     DecorationError,
@@ -41,7 +37,6 @@ from .graphs import (
     separating_edges,
     spanning_forest,
 )
-from .modular import solve_mod_prime
 
 EXPANSION_BOUND = 10**7
 
@@ -69,50 +64,56 @@ def lifts(a: EvenFunction, d: DecoratedGraph) -> bool:
     return in_image_delta(prod)
 
 
+def _ghost(d: DecoratedGraph, phi: Mapping[int, int]) -> EvenFunction:
+    """The ghost delta(phi) * M^-1 of the potential phi; d must be faithful
+    at a prime level."""
+    dphi = {e: phi[h] - phi[t] for e, (t, h) in d.graph.edges.items()}
+    vals = {e: x and x * pow(d.m_value(e), -1, d.ell) for e, x in dphi.items()}
+    return EvenFunction(d.graph, d.ell, vals)
+
+
 @dataclass
 class GhostGroup:
+    """A group of ghosts on a faithful decorated graph, given by generators
+    that are independent over Z/ell, so its order is ell^#generators."""
+
     decorated: DecoratedGraph
     generators: list[EvenFunction]
-    order: int
+
+    @property
+    def order(self) -> int:
+        return self.decorated.ell ** len(self.generators)
 
     def elements(self, max_elements: int = EXPANSION_BOUND) -> Iterator[EvenFunction]:
-        """All group elements (including the identity) by expansion."""
+        """All group elements (including the identity), one per coefficient
+        tuple over the generators."""
         if self.order > max_elements:
             raise SizeBoundExceeded(
-                f"group order {self.order} exceeds the expansion bound"
+                f"group order {self.order} exceeds the expansion bound {max_elements}"
             )
         g = self.decorated.graph
         ell = self.decorated.ell
-        edge_ids = g.edge_ids
-        gen_rows = [[gen.on_edge(e) for e in edge_ids] for gen in self.generators]
-        seen = set()
-        for coeffs in itertools.product(range(ell), repeat=len(gen_rows)):
-            row = tuple(
-                sum(c * gr[i] for c, gr in zip(coeffs, gen_rows)) % ell
-                for i in range(len(edge_ids))
-            )
-            if row in seen:
-                continue
-            seen.add(row)
-            yield EvenFunction(g, ell, dict(zip(edge_ids, row)))
+        # per edge, the (generator index, value) pairs that are nonzero there
+        terms = [
+            [(j, x) for j, gen in enumerate(self.generators) if (x := gen.on_edge(e))]
+            for e in g.edge_ids
+        ]
+        for coeffs in itertools.product(range(ell), repeat=len(self.generators)):
+            vals = {e: sum(coeffs[j] * x for j, x in t) for e, t in zip(g.edge_ids, terms)}
+            yield EvenFunction(g, ell, vals)
 
 
 def ghost_group(d: DecoratedGraph) -> GhostGroup:
     """The ghost group of the decorated graph, computed on gamma0.
 
-    Generators: cut basis of the faithful part divided pointwise by M.
-    Order: ell^(#V0 - 1) for prime ell.
+    Generators: the ghosts delta(1_v) * M^-1 of the vertex indicators, for
+    every vertex v of the faithful graph but the first.  Order:
+    ell^(#V0 - 1) for prime ell.
     """
     _require_prime(d.ell)
     d0 = gamma0(d)
-    g = d0.graph
-    ell = d0.ell
-    inv_m = {e: pow(d0.m_value(e), -1, ell) for e in g.edge_ids}
-    gens = [
-        EvenFunction(g, ell, {e: b.on_edge(e) * inv_m[e] for e in g.edge_ids})
-        for b in cut_basis(g, spanning_tree(g), ell)
-    ]
-    return GhostGroup(d0, gens, ell ** (g.n_vertices - 1))
+    vs = d0.graph.vertices
+    return GhostGroup(d0, [_ghost(d0, {w: int(w == v) for w in vs}) for v in vs[1:]])
 
 
 def qr_subgroup(d: DecoratedGraph) -> GhostGroup:
@@ -120,12 +121,8 @@ def qr_subgroup(d: DecoratedGraph) -> GhostGroup:
     _require_prime(d.ell)
     d0 = gamma0(d)
     g = d0.graph
-    ell = d0.ell
-    gens = []
-    for e in sorted(separating_edges(g)):
-        vals = {f: (1 if f == e else 0) for f in g.edge_ids}
-        gens.append(EvenFunction(g, ell, vals))
-    return GhostGroup(d0, gens, ell ** len(gens))
+    units = ({f: int(f == e) for f in g.edge_ids} for e in sorted(separating_edges(g)))
+    return GhostGroup(d0, [EvenFunction(g, d0.ell, vals) for vals in units])
 
 
 def age(a: EvenFunction) -> Fraction:
@@ -182,12 +179,11 @@ def minimal_age_report(
     for v in order:
         order.extend(w for w in sorted(g.neighbors(v)) if w not in order)
     pos = {v: i for i, v in enumerate(order)}
-    inv_m = {e: pow(core.m_value(e), -1, ell) for e in g.edge_ids}
     # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
     # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
     closing: list[dict[int, list[int]]] = [{} for _ in order]
     for e, (t, h) in g.edges.items():
-        i, j, k = pos[h], pos[t], inv_m[e]
+        i, j, k = pos[h], pos[t], pow(core.m_value(e), -1, ell)
         if i < j:
             i, j, k = j, i, -k
         row = closing[i].setdefault(j, [0] * (2 * ell))
@@ -196,8 +192,9 @@ def minimal_age_report(
     phi = [0] * len(order)
     best_sum, best_phi, visited = math.inf, phi, 0
 
-    def search(i: int, partial: int):
-        nonlocal best_sum, best_phi, visited
+    def frame(i: int, partial: int):
+        # vertex i's closing costs, given phi on the earlier vertices
+        nonlocal visited
         visited += ell
         if visited > max_elements:
             raise SizeBoundExceeded(
@@ -205,21 +202,23 @@ def minimal_age_report(
             )
         rows = [row[ell - phi[j] : 2 * ell - phi[j]] for j, row in closing[i].items()]
         costs = [sum(c) for c in zip(*rows)]
-        for c in sorted(range(ell), key=costs.__getitem__):
-            total = partial + costs[c]
-            if total >= best_sum:
-                return
-            phi[i] = c
-            if i + 1 < len(order):
-                search(i + 1, total)
-            elif total:
-                best_sum, best_phi = total, list(phi)
+        return i, partial, costs, iter(sorted(range(ell), key=costs.__getitem__))
 
-    search(1, 0)
-    p = dict(zip(order, best_phi))
-    a = EvenFunction(
-        g, ell, {e: (p[h] - p[t]) * inv_m[e] for e, (t, h) in g.edges.items()}
-    )
+    # depth-first with an explicit stack: the core may have thousands of vertices
+    stack = [frame(1, 0)]
+    while stack:
+        i, partial, costs, values = stack[-1]
+        c = next(values, None)
+        total = math.inf if c is None else partial + costs[c]
+        if total >= best_sum:
+            stack.pop()
+            continue
+        phi[i] = c
+        if i + 1 < len(order):
+            stack.append(frame(i + 1, total))
+        elif total:
+            best_sum, best_phi = total, list(phi)
+    a = _ghost(core, dict(zip(order, best_phi)))
     return AgeReport(a, Fraction(best_sum, ell), len(a.support()))
 
 
@@ -301,36 +300,20 @@ class CoverDecomposition:
     rank_equal: bool
 
     def decompose(self, a: EvenFunction) -> Optional[list[EvenFunction]]:
-        """Write a as a sum of group elements supported on the parts."""
-        d0 = self.decorated
-        g = d0.graph
-        ell = d0.ell
-        edge_ids = g.edge_ids
-        columns = []
-        owners = []
-        for idx, dec in enumerate(self.graphs):
-            for gen in ghost_group(dec).generators:
-                columns.append(
-                    [gen.on_edge(e) if e in dec.graph.edge_ids else 0 for e in edge_ids]
-                )
-                owners.append(idx)
-        matrix = [
-            [columns[j][i] for j in range(len(columns))]
-            for i in range(len(edge_ids))
-        ]
-        rhs = [a.on_edge(e) for e in edge_ids]
-        sol = solve_mod_prime(matrix, rhs, ell)
-        if sol is None:
-            return None
+        """Write a as a sum of ghosts supported on the parts, or None.
+
+        The parts are disjoint, so the only candidate summands are the
+        restrictions a|p_i.  They are the answer when each one lifts on its
+        part graph; otherwise no decomposition exists.
+        """
+        g = self.decorated.graph
+        ell = a.ell
         out = []
-        for idx in range(len(self.graphs)):
-            vals = {e: 0 for e in edge_ids}
-            for j, c in enumerate(sol):
-                if owners[j] != idx or c == 0:
-                    continue
-                for e in edge_ids:
-                    vals[e] = (vals[e] + c * columns[j][edge_ids.index(e)]) % ell
-            out.append(EvenFunction(g, ell, vals))
+        for p, dec in zip(self.parts, self.graphs):
+            own = {e: a.on_edge(e) for e in p}
+            if not lifts(EvenFunction(dec.graph, ell, own), dec):
+                return None
+            out.append(EvenFunction(g, ell, {e: own.get(e, 0) for e in g.edge_ids}))
         return out
 
 
@@ -347,17 +330,15 @@ def cover_decompose(
     g = d0.graph
     part_sets = [frozenset(p) for p in parts]
     all_edges = frozenset(g.edge_ids)
-    seen: set[int] = set()
+    covered: set[int] = set()
     for p in part_sets:
         if not p or not p <= all_edges:
             raise DecorationError("each part must be a nonempty edge subset")
-        if p & seen:
+        if p & covered:
             raise DecorationError("parts overlap: not permitted")
-        seen |= p
-    if seen != all_edges:
+        covered |= p
+    if covered != all_edges:
         raise DecorationError("parts do not cover the edge set")
     graphs = [contract_decorated(d0, all_edges - p) for p in part_sets]
-    rank_equal = (g.n_vertices - 1) == sum(
-        dec.graph.n_vertices - 1 for dec in graphs
-    )
+    rank_equal = g.n_vertices - 1 == sum(dec.graph.n_vertices - 1 for dec in graphs)
     return CoverDecomposition(d0, part_sets, graphs, rank_equal)

@@ -255,37 +255,25 @@ def _check_spanning_tree(g: Multigraph, t: Iterable[int]) -> frozenset[int]:
     return tset
 
 
-def tree_path(g: Multigraph, t: Iterable[int], u: int, v: int) -> list[Dart]:
-    """The unique dart path from u to v inside the spanning tree t."""
-    return _tree_path(g, _check_spanning_tree(g, t), u, v)
-
-
-def _tree_path(g: Multigraph, tset: frozenset[int], u: int, v: int) -> list[Dart]:
-    if u == v:
-        return []
-    prev: dict[int, Dart] = {}
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            break
-        for d in g.darts_at(x):
-            if d[0] not in tset:
-                continue
-            y = g.head(d)
-            if y not in seen:
-                seen.add(y)
-                prev[y] = d
-                queue.append(y)
-    path = []
-    x = v
-    while x != u:
-        d = prev[x]
-        path.append(d)
-        x = g.tail(d)
-    path.reverse()
-    return path
+def _rooted_tree(
+    g: Multigraph, tset: frozenset[int]
+) -> tuple[list[int], dict[int, Dart], dict[int, int]]:
+    """Root the spanning tree tset at the first vertex by BFS: the vertices
+    in BFS order, the dart from its parent into each non-root vertex, and
+    each vertex's depth."""
+    adj: dict[int, list[tuple[Dart, int]]] = {v: [] for v in g.vertices}
+    for e in tset:
+        t, h = g.ends(e)
+        adj[t].append(((e, 0), h))
+        adj[h].append(((e, 1), t))
+    root = g.vertices[0]
+    order, parent, depth = [root], {}, {root: 0}
+    for x in order:
+        for d, y in adj[x]:
+            if y not in depth:
+                parent[y], depth[y] = d, depth[x] + 1
+                order.append(y)
+    return order, parent, depth
 
 
 def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
@@ -294,11 +282,21 @@ def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
     A loop yields a length-1 circuit.
     """
     tset = _check_spanning_tree(g, t)
-    return [
-        [(e, 0)] + _tree_path(g, tset, g.ends(e)[1], g.ends(e)[0])
-        for e in sorted(g.edge_ids)
-        if e not in tset
-    ]
+    _, parent, depth = _rooted_tree(g, tset)
+    circuits = []
+    for e in sorted(set(g.edge_ids) - tset):
+        # climb from both ends to where they meet: up from the head, down to the tail
+        tail, head = g.ends(e)
+        up, down = [(e, 0)], []
+        while head != tail:
+            if depth[head] >= depth[tail]:
+                up.append(g.conj(parent[head]))
+                head = g.tail(parent[head])
+            else:
+                down.append(parent[tail])
+                tail = g.tail(parent[tail])
+        circuits.append(up + down[::-1])
+    return circuits
 
 
 def betti1(g: Multigraph) -> int:

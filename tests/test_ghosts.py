@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,16 @@ def vine(n):
 
 def dec(g, ell, values):
     return DecoratedGraph.from_edge_values(g, ell, values)
+
+
+def two_part_covers(edge_ids):
+    """Every split of the edges into two nonempty parts, the first part
+    holding the first edge."""
+    first, *rest = edge_ids
+    for r in range(len(rest)):
+        for extra in itertools.combinations(rest, r):
+            p1 = frozenset((first, *extra))
+            yield p1, frozenset(edge_ids) - p1
 
 
 class TestLifts:
@@ -92,6 +103,23 @@ class TestGhostGroup:
         group = ghost_group(d)
         for gen in group.generators:
             assert lifts(gen, group.decorated)
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_elements_distinct(self, ell):
+        # independent generators: every coefficient tuple is a new element
+        rng = random.Random(ell)
+        for g in connected_multigraphs(3):
+            d = dec(g, ell, {e: rng.randrange(ell) for e in g.edge_ids})
+            for group in (ghost_group(d), qr_subgroup(d)):
+                elements = list(group.elements())
+                assert len(elements) == len(set(elements)) == group.order, g
+
+    def test_expansion_bound(self):
+        group = ghost_group(dec(vine(2), 5, {0: 1, 1: 1}))
+        with pytest.raises(
+            SizeBoundExceeded, match="group order 5 exceeds the expansion bound 4"
+        ):
+            next(group.elements(max_elements=4))
 
 
 class TestQrSubgroup:
@@ -184,6 +212,19 @@ class TestStratumAge:
         with pytest.raises(SizeBoundExceeded, match="1 partial potentials"):
             stratum_age(d, max_elements=1)
         assert stratum_age(d) < INFINITE_AGE
+
+    def test_deep_core_without_recursion(self):
+        # a chain of 300 vertices joined by doubled edges: the search goes
+        # 300 vertices deep, past a recursion limit of 150
+        g = Multigraph(range(300), [(i, i + 1) for i in range(299) for _ in range(2)])
+        d = dec(g, 5, {e: 1 for e in g.edge_ids})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            got = stratum_age(d)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == Fraction(2, 5)
 
     def test_reduced_core_drops_loops_and_bridges(self):
         # 2-vine with a pendant bridge and a loop
@@ -324,6 +365,36 @@ class TestCoverDecompose:
             assert total == a
             for part, edges in zip(parts, cover.parts):
                 assert part.support() <= edges
+
+    def test_restrictions_or_none(self):
+        # every faithful decoration at ell = 3 with at most 3 edges, every
+        # 2-part cover, every even function: the parts are the restrictions
+        # when each lies in its part's ghost group, and None otherwise
+        ell, outcomes = 3, set()
+        for g in connected_multigraphs(3):
+            if g.n_edges < 2:
+                continue
+            edge_ids = g.edge_ids
+            for values in itertools.product(range(1, ell), repeat=len(edge_ids)):
+                d = dec(g, ell, dict(zip(edge_ids, values)))
+                for cover in (cover_decompose(d, c) for c in two_part_covers(edge_ids)):
+                    ghost_sets = [brute_ghost_set(dg) for dg in cover.graphs]
+                    for vals in itertools.product(range(ell), repeat=len(edge_ids)):
+                        a = EvenFunction(g, ell, dict(zip(edge_ids, vals)))
+                        inside = all(
+                            tuple(a.on_edge(e) for e in sorted(p)) in ghosts
+                            for p, ghosts in zip(cover.parts, ghost_sets)
+                        )
+                        got = cover.decompose(a)
+                        outcomes.add(inside)
+                        if not inside:
+                            assert got is None
+                            continue
+                        assert got == [
+                            EvenFunction(g, ell, {e: a.on_edge(e) * (e in p) for e in edge_ids})
+                            for p in cover.parts
+                        ]
+        assert outcomes == {False, True}
 
     def test_identity_cover(self):
         d = dec(vine(2), 5, {0: 1, 1: 1})
