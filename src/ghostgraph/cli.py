@@ -33,9 +33,7 @@ from .ghosts import (
     INFINITE_AGE,
     alpha_beta,
     generated_by_qr,
-    ghost_group,
     is_prime,
-    qr_subgroup,
     stratum_age,
     vine_witness,
 )
@@ -78,6 +76,7 @@ def build_report(d, k: Optional[int]) -> dict:
             "beta": betas,
         }
     dm = multidegree(d)
+    seps = sorted(separating_edges(g0))
     report = {
         "input": decorated_to_dict(d),
         "ell": ell,
@@ -87,7 +86,7 @@ def build_report(d, k: Optional[int]) -> dict:
                 {"id": e, "tail": t, "head": h, "m": d0.m_value(e)}
                 for e, (t, h) in sorted(g0.edges.items())
             ],
-            "separating_edges": sorted(separating_edges(g0)),
+            "separating_edges": seps,
             "tree_like": is_tree_like(g0),
         },
         "per_prime": per_prime,
@@ -96,11 +95,10 @@ def build_report(d, k: Optional[int]) -> dict:
         "multidegree": {str(v): dm(v) for v in d.graph.vertices},
     }
     if prime:
-        group = ghost_group(d0)
-        qr = qr_subgroup(d0)
         s_age = stratum_age(d0)
-        report["ghost_group_order"] = group.order
-        report["qr_order"] = qr.order
+        # the orders of ghost_group(d0) and qr_subgroup(d0)
+        report["ghost_group_order"] = ell ** (g0.n_vertices - 1)
+        report["qr_order"] = ell ** len(seps)
         report["stratum_age"] = _rational(s_age)
         report["junior"] = s_age < 1
         report["admissible_k"] = sorted(admissible_k(d))

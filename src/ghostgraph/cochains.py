@@ -278,28 +278,16 @@ def solve_boundary(d0: ZeroCochain) -> OneCochain:
     ell = d0.ell
     if sum(d0(v) for v in g.vertices) % ell != 0:
         raise CochainError("total sum nonzero: no solution")
-    t = spanning_tree(g)
-    remaining = {v: d0(v) for v in g.vertices}
-    adj: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in t:
-        for v in g.ends(e):
-            adj[v].add(e)
+    # spanning_tree is valid by construction: root it unchecked
+    order, parent, _ = _rooted_tree(g, spanning_tree(g))
+    remaining = d0.as_dict()
     vals = {e: 0 for e in g.edge_ids}
-    # peel leaves; each vertex is a leaf once, the last one has no edge left
-    leaves = [v for v in g.vertices if len(adj[v]) == 1]
-    while leaves:
-        v = leaves.pop()
-        if not adj[v]:
-            continue
-        (e,) = adj[v]
-        a, b = g.ends(e)
-        other = b if a == v else a
-        # orient what v still needs into v; the other end gives it up
-        vals[e] = remaining[v] if b == v else -remaining[v]
-        remaining[other] += remaining[v]
-        adj[other].discard(e)
-        if len(adj[other]) == 1:
-            leaves.append(other)
+    # deepest first, each vertex settles its need on the edge from its parent
+    for v in reversed(order[1:]):
+        e, s = parent[v]
+        # orient what v still needs into v; the parent gives it up
+        vals[e] = remaining[v] if s == 0 else -remaining[v]
+        remaining[g.tail(parent[v])] += remaining[v]
     m = OneCochain(g, ell, vals)
     if boundary(m) != d0:
         raise CochainError("internal error: boundary solve failed")

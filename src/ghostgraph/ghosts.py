@@ -31,7 +31,6 @@ from .decorated import (
     prime_factors,
 )
 from .graphs import (
-    Multigraph,
     SizeBoundExceeded,
     is_tree_like,
     separating_edges,
@@ -149,13 +148,14 @@ class AgeReport:
 
 
 def reduced_core(d: DecoratedGraph) -> DecoratedGraph:
-    """gamma0 with loops and separating edges contracted to a fixpoint."""
+    """gamma0 with its loops and separating edges contracted.
+
+    One pass suffices: contracting bridges joins no edge's ends and leaves
+    every circuit intact, so it creates no loop and no bridge.
+    """
     core = gamma0(d)
-    while True:
-        drop = set(core.graph.loops()) | set(separating_edges(core.graph))
-        if not drop:
-            return core
-        core = contract_decorated(core, drop)
+    drop = core.graph.loops() | separating_edges(core.graph)
+    return contract_decorated(core, drop) if drop else core
 
 
 def minimal_age_report(
@@ -176,8 +176,11 @@ def minimal_age_report(
     if g.n_vertices == 1:
         return None
     order = [g.vertices[0]]
+    seen = set(order)
     for v in order:
-        order.extend(w for w in sorted(g.neighbors(v)) if w not in order)
+        for w in sorted(g.neighbors(v) - seen):
+            seen.add(w)
+            order.append(w)
     pos = {v: i for i, v in enumerate(order)}
     # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
     # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
@@ -257,19 +260,13 @@ def alpha_beta(d: DecoratedGraph, p: int) -> tuple[list[int], list[int]]:
         raise DecorationError(f"{p} does not divide the level {d.ell}")
     e_p = fac[p]
 
-    def stats(graph: Multigraph) -> tuple[int, int]:
-        return graph.n_vertices, len(separating_edges(graph))
-
-    alphas, betas = [], []
-    for k in range(1, e_p + 1):
-        hi = gamma_nu(d, p, e_p - k + 1)
-        if e_p - k >= 1:
-            lo_v, lo_s = stats(gamma_nu(d, p, e_p - k))
-        else:
-            lo_v, lo_s = 1, 0
-        hi_v, hi_s = stats(hi)
-        alphas.append(hi_v - lo_v)
-        betas.append(hi_s - lo_s)
+    # (#V, #bridges) of Gamma(nu_p^j) for j = e_p .. 1, then the single point
+    stats = [
+        (g.n_vertices, len(separating_edges(g)))
+        for g in (gamma_nu(d, p, j) for j in range(e_p, 0, -1))
+    ] + [(1, 0)]
+    alphas = [hi_v - lo_v for (hi_v, _), (lo_v, _) in zip(stats, stats[1:])]
+    betas = [hi_s - lo_s for (_, hi_s), (_, lo_s) in zip(stats, stats[1:])]
     return alphas, betas
 
 

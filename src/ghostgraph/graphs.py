@@ -10,8 +10,7 @@ original edges.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 Dart = tuple[int, int]
 
@@ -27,9 +26,13 @@ class SizeBoundExceeded(RuntimeError):
 
 
 class Multigraph:
-    """Connected multigraph, immutable after construction."""
+    """Connected multigraph, immutable after construction.
 
-    __slots__ = ("_vertices", "_edges")
+    Each vertex's darts are stored once, in edge-id order; every incidence
+    question (darts, degree, neighbors, tree walks) reads that list.
+    """
+
+    __slots__ = ("_vertices", "_edges", "_darts")
 
     def __init__(self, vertices: Iterable[int], edges):
         vs = tuple(sorted(set(int(v) for v in vertices)))
@@ -43,29 +46,18 @@ class Multigraph:
         ids = [e for e, _ in items]
         if len(set(ids)) != len(ids):
             raise GraphError("duplicate edge ids")
-        vset = set(vs)
+        darts: dict[int, list[Dart]] = {v: [] for v in vs}
         for e, (t, h) in items:
-            if t not in vset or h not in vset:
+            if t not in darts or h not in darts:
                 raise GraphError(f"edge {e} touches unknown vertex")
+            darts[t].append((e, 0))
+            darts[h].append((e, 1))
         self._vertices = vs
         self._edges = dict(items)
-        if not self._is_connected():
+        self._darts = darts
+        # connected iff a BFS over every edge reaches every vertex
+        if len(_rooted_tree(self, self._edges)[0]) != len(vs):
             raise GraphError("graph is not connected")
-
-    def _is_connected(self) -> bool:
-        seen = {self._vertices[0]}
-        queue = deque(seen)
-        adj: dict[int, list[int]] = {v: [] for v in self._vertices}
-        for t, h in self._edges.values():
-            adj[t].append(h)
-            adj[h].append(t)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == len(self._vertices)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -120,25 +112,16 @@ class Multigraph:
 
     def darts_at(self, v: int) -> list[Dart]:
         """All darts with tail v; a loop contributes both of its darts."""
-        out = []
-        for e, (t, h) in self._edges.items():
-            if t == v:
-                out.append((e, 0))
-            if h == v:
-                out.append((e, 1))
-        return out
+        try:
+            return list(self._darts[v])
+        except KeyError:
+            raise GraphError(f"unknown vertex {v}") from None
 
     def degree(self, v: int) -> int:
         return len(self.darts_at(v))
 
     def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for e, (t, h) in self._edges.items():
-            if t == v and h != v:
-                out.add(h)
-            elif h == v and t != v:
-                out.add(t)
-        return out
+        return {self._edges[e][1 - s] for e, s in self.darts_at(v)} - {v}
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,42 +185,13 @@ def contract_edges(g: Multigraph, f: Iterable[int]) -> Contraction:
 
 
 def separating_edges(g: Multigraph) -> frozenset[int]:
-    """The bridges of g.  Loops and parallel edges are never bridges."""
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    bridges: set[int] = set()
-    counter = itertools.count()
-    root = g.vertices[0]
-    # iterative DFS over darts; each edge is traversed at most once
-    used_edges: set[int] = set()
-    stack: list[tuple[int, Optional[int], Iterator[Dart]]] = []
-    disc[root] = low[root] = next(counter)
-    stack.append((root, None, iter(g.darts_at(root))))
-    while stack:
-        v, in_edge, it = stack[-1]
-        advanced = False
-        for d in it:
-            e = d[0]
-            if e == in_edge or e in used_edges or g.is_loop(e):
-                continue
-            w = g.head(d)
-            if w in disc:
-                used_edges.add(e)
-                low[v] = min(low[v], disc[w])
-            else:
-                used_edges.add(e)
-                disc[w] = low[w] = next(counter)
-                stack.append((w, e, iter(g.darts_at(w))))
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if in_edge is not None and low[v] > disc[u]:
-                    bridges.add(in_edge)
-    return frozenset(bridges)
+    """The bridges of g: the spanning-tree edges on no fundamental circuit.
+
+    A tree edge that is not a bridge is crossed by some non-tree edge, whose
+    circuit then runs through it.  Loops and parallel edges are never bridges.
+    """
+    tset = spanning_tree(g)
+    return tset - {e for c in _circuits(g, tset) for e, _ in c}
 
 
 def spanning_tree(g: Multigraph) -> frozenset[int]:
@@ -256,22 +210,18 @@ def _check_spanning_tree(g: Multigraph, t: Iterable[int]) -> frozenset[int]:
 
 
 def _rooted_tree(
-    g: Multigraph, tset: frozenset[int]
+    g: Multigraph, tset: Container[int]
 ) -> tuple[list[int], dict[int, Dart], dict[int, int]]:
-    """Root the spanning tree tset at the first vertex by BFS: the vertices
-    in BFS order, the dart from its parent into each non-root vertex, and
-    each vertex's depth."""
-    adj: dict[int, list[tuple[Dart, int]]] = {v: [] for v in g.vertices}
-    for e in tset:
-        t, h = g.ends(e)
-        adj[t].append(((e, 0), h))
-        adj[h].append(((e, 1), t))
+    """BFS from the first vertex over the edges in tset: the vertices it
+    reaches in BFS order, the dart from its parent into each of them but
+    the root, and each one's depth.  On a spanning tree this roots it."""
     root = g.vertices[0]
     order, parent, depth = [root], {}, {root: 0}
     for x in order:
-        for d, y in adj[x]:
-            if y not in depth:
-                parent[y], depth[y] = d, depth[x] + 1
+        for e, s in g._darts[x]:
+            y = g._edges[e][1 - s]
+            if e in tset and y not in depth:
+                parent[y], depth[y] = (e, s), depth[x] + 1
                 order.append(y)
     return order, parent, depth
 
@@ -281,7 +231,11 @@ def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
 
     A loop yields a length-1 circuit.
     """
-    tset = _check_spanning_tree(g, t)
+    return _circuits(g, _check_spanning_tree(g, t))
+
+
+def _circuits(g: Multigraph, tset: frozenset[int]) -> list[list[Dart]]:
+    """``fundamental_circuits`` for a spanning tree known to be valid."""
     _, parent, depth = _rooted_tree(g, tset)
     circuits = []
     for e in sorted(set(g.edge_ids) - tset):
@@ -304,9 +258,9 @@ def betti1(g: Multigraph) -> int:
 
 
 def is_tree_like(g: Multigraph) -> bool:
-    """True iff every circuit of g is a loop, i.e. every non-loop edge is a bridge."""
-    seps = separating_edges(g)
-    return all(g.is_loop(e) or e in seps for e in g.edge_ids)
+    """True iff every circuit of g is a loop, i.e. the non-loop edges form a
+    spanning tree of the connected graph g."""
+    return g.n_edges - len(g.loops()) == g.n_vertices - 1
 
 
 def _degree_orderings(

@@ -87,6 +87,38 @@ def _run(name: str, rng: random.Random, n: int, case_fn) -> PropertyResult:
     return result
 
 
+def _reach(g: gr.Multigraph, edges, v: int) -> set[int]:
+    """The vertices joined to v by the given edges, by a flood of its own."""
+    adj = {w: set() for w in g.vertices}
+    for e in edges:
+        a, b = g.ends(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, queue = {v}, [v]
+    for x in queue:
+        for y in adj[x] - seen:
+            seen.add(y)
+            queue.append(y)
+    return seen
+
+
+@_prop("graph", "separating edges are the edges whose removal disconnects")
+def prop_seps_disconnect(rng, n):
+    def case(rng):
+        g = random_connected_multigraph(rng, max_vertices=8, max_extra_edges=5)
+        v = g.vertices[0]
+        cuts = {
+            e
+            for e in g.edge_ids
+            if not g.is_loop(e)
+            and len(_reach(g, set(g.edge_ids) - {e}, v)) < g.n_vertices
+        }
+        seps = gr.separating_edges(g)
+        return None if seps == cuts else f"separating edges {sorted(seps)}, removal gives {sorted(cuts)}"
+
+    return _run("separating edges are the edges whose removal disconnects", rng, n, case)
+
+
 @_prop("graph", "contraction keeps separating edges separating")
 def prop_sep_stable(rng: random.Random, n: int) -> PropertyResult:
     def case(rng):
@@ -113,19 +145,10 @@ def prop_contraction_names(rng, n):
         g = random_connected_multigraph(rng)
         f = {e for e in g.edge_ids if rng.random() < 0.5}
         vertex_map = gr.contract_edges(g, f).vertex_map
-        adj = {v: set() for v in g.vertices}
-        for e in f:
-            a, b = g.ends(e)
-            adj[a].add(b)
-            adj[b].add(a)
         for v in g.vertices:
-            seen, queue = {v}, [v]
-            for x in queue:
-                for y in adj[x] - seen:
-                    seen.add(y)
-                    queue.append(y)
-            if vertex_map[v] != min(seen):
-                return f"contracting {sorted(f)} maps {v} to {vertex_map[v]}, not {min(seen)}"
+            least = min(_reach(g, f, v))
+            if vertex_map[v] != least:
+                return f"contracting {sorted(f)} maps {v} to {vertex_map[v]}, not {least}"
         return None
 
     return _run("contraction names each merged class by its smallest vertex", rng, n, case)

@@ -231,14 +231,15 @@ class TestCriterion4Level7:
                     continue
                 assert genus_labeling(self.c7_decoration(a, b), 0) is None
 
-    def test_snapshot_stability(self):
+    @pytest.mark.parametrize("ell", ["2", "3", "5", "7"])
+    def test_snapshot_stability(self, ell):
         for k in ("0", "1"):
             result = cli(
-                "classify", "--ell", "7", "--k", k, "--snapshot", str(SNAPSHOT_DIR)
+                "classify", "--ell", ell, "--k", k, "--snapshot", str(SNAPSHOT_DIR)
             )
             assert result.exit_code == 0, result.output
-        first = cli("classify", "--ell", "7", "--k", "1").output
-        second = cli("classify", "--ell", "7", "--k", "1").output
+        first = cli("classify", "--ell", ell, "--k", "1").output
+        second = cli("classify", "--ell", ell, "--k", "1").output
         assert first == second
 
 

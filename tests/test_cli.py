@@ -1,15 +1,16 @@
 """Command-line interface: reports, tables, snapshots, exit codes."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
 
-from ghostgraph import DecoratedGraph, Multigraph, genus_labeling
+from ghostgraph import DecoratedGraph, Multigraph, genus_labeling, ghost_group, qr_subgroup
 from ghostgraph.cli import build_report, main
 from ghostgraph.decorated import MAX_LEVEL
 
-from oracles import vine_stratum_age
+from oracles import connected_multigraphs, vine_stratum_age
 
 
 def vine_file(tmp_path, ell, values, name="graph.json"):
@@ -62,6 +63,17 @@ class TestAnalyze:
         assert set(report["per_prime"]) == {"2", "3"}
         assert report["ghost_group_order"] is None
         assert report["generated_by_quasireflections"] is True
+
+    @pytest.mark.parametrize("ell", [3, 5])
+    def test_group_orders_match_groups(self, ell):
+        # the report states the orders without building the groups
+        rng = random.Random(ell)
+        for g in connected_multigraphs(4):
+            vals = {e: rng.randrange(ell) for e in g.edge_ids}
+            d = DecoratedGraph.from_edge_values(g, ell, vals)
+            report = build_report(d, None)
+            assert report["ghost_group_order"] == ghost_group(d).order
+            assert report["qr_order"] == qr_subgroup(d).order
 
     def test_text_output(self, tmp_path):
         path = vine_file(tmp_path, 3, [1, 1])

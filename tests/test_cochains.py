@@ -227,8 +227,11 @@ class TestSolveBoundary:
         import itertools
 
         for g in connected_multigraphs(3):
+            # the corpus runs every edge upward; the flip runs it toward the root
+            flipped = Multigraph(g.vertices, {e: (h, t) for e, (t, h) in g.edges.items()})
             for vals in itertools.product(range(3), repeat=g.n_vertices):
                 if sum(vals) % 3 != 0:
                     continue
-                d0 = ZeroCochain(g, 3, dict(zip(g.vertices, vals)))
-                assert boundary(solve_boundary(d0)) == d0
+                for h in (g, flipped):
+                    d0 = ZeroCochain(h, 3, dict(zip(h.vertices, vals)))
+                    assert boundary(solve_boundary(d0)) == d0

@@ -26,10 +26,12 @@ from ghostgraph import (
     stratum_age,
     vine_witness,
 )
+from ghostgraph.decorated import gamma_nu, prime_factors
 from ghostgraph.ghosts import INFINITE_AGE, reduced_core
 from ghostgraph.graphs import SizeBoundExceeded
 
 from oracles import (
+    brute_bridges,
     brute_ghost_set,
     connected_multigraphs,
     brute_qr_set,
@@ -234,6 +236,13 @@ class TestStratumAge:
         assert core.graph.n_edges == 2
         assert stratum_age(d) == stratum_age(dec(vine(2), 5, {0: 1, 1: 3}))
 
+    def test_reduced_core_has_no_loops_or_bridges(self):
+        # one contraction pass leaves nothing to contract, zero twists included
+        for g in connected_multigraphs(3):
+            for values in itertools.product(range(5), repeat=g.n_edges):
+                core = reduced_core(dec(g, 5, dict(zip(g.edge_ids, values)))).graph
+                assert not core.loops() and not brute_bridges(core)
+
 
 class TestGeneratedByQr:
     def test_vine_false(self):
@@ -282,6 +291,24 @@ class TestAlphaBeta:
     def test_rejects_bad_prime(self):
         with pytest.raises(DecorationError):
             alpha_beta(dec(vine(2), 6, {0: 1, 1: 1}), 5)
+
+    @pytest.mark.parametrize("ell", [4, 8, 12])
+    def test_matches_definition(self, ell):
+        def stats(d, p, j):
+            # Gamma(nu_p^0) is the single point
+            if j == 0:
+                return 1, 0
+            g = gamma_nu(d, p, j)
+            return g.n_vertices, len(brute_bridges(g))
+
+        for g in connected_multigraphs(3):
+            for values in itertools.product(range(ell), repeat=g.n_edges):
+                d = dec(g, ell, dict(zip(g.edge_ids, values)))
+                for p, e_p in prime_factors(ell).items():
+                    chain = [stats(d, p, e_p - k) for k in range(e_p + 1)]
+                    alphas = [hi[0] - lo[0] for hi, lo in zip(chain, chain[1:])]
+                    betas = [hi[1] - lo[1] for hi, lo in zip(chain, chain[1:])]
+                    assert alpha_beta(d, p) == (alphas, betas)
 
 
 class TestVineWitness:

@@ -1,6 +1,7 @@
 """Multigraph structure: contraction, bridges, trees, circuits, codes."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -30,6 +31,16 @@ def triangle():
     return Multigraph(range(3), [(0, 1), (1, 2), (2, 0)])
 
 
+def random_graph(seed):
+    """A random tree on up to 30 vertices plus a few chords, loops and
+    parallel edges, so both bridges and circuits occur."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n // 2))]
+    return Multigraph(range(n), edges or [(0, 0)])
+
+
 def barbell():
     # two 2-vines joined by one edge
     return Multigraph(range(4), [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)])
@@ -54,6 +65,33 @@ class TestConstruction:
         assert g.head((0, 0)) == 1
         assert g.conj((0, 0)) == (0, 1)
         assert g.tail((0, 1)) == 1
+
+
+def scanned_darts(g, v):
+    """The darts at v by a scan of every edge, in edge-id order."""
+    out = []
+    for e, (t, h) in sorted(g.edges.items()):
+        if t == v:
+            out.append((e, 0))
+        if h == v:
+            out.append((e, 1))
+    return out
+
+
+class TestIncidence:
+    def test_matches_edge_scan(self):
+        for g in connected_multigraphs(4):
+            # single-edge contractions keep non-contiguous edge ids
+            for h in [g] + [contract_edges(g, {e}).graph for e in g.edge_ids]:
+                for v in h.vertices:
+                    darts = scanned_darts(h, v)
+                    assert h.darts_at(v) == darts
+                    assert h.degree(v) == len(darts)
+                    assert h.neighbors(v) == {h.head(d) for d in darts} - {v}
+
+    def test_unknown_vertex(self):
+        with pytest.raises(GraphError):
+            vine(2).darts_at(5)
 
 
 class TestContraction:
@@ -101,7 +139,9 @@ class TestSeparatingEdges:
         g = Multigraph([0], [(0, 0)])
         assert separating_edges(g) == set()
 
-    @pytest.mark.parametrize("g", connected_multigraphs(4))
+    @pytest.mark.parametrize(
+        "g", connected_multigraphs(4) + [random_graph(seed) for seed in range(30)]
+    )
     def test_matches_removal_oracle(self, g):
         assert separating_edges(g) == brute_bridges(g)
 
