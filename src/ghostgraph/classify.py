@@ -6,10 +6,10 @@ values summing to less than ell, so the junior witnesses a live in a small
 candidate set, and a is a witness for M exactly when a M = delta(phi) for
 a potential phi.  For every base graph the junior rows are generated from
 these (phi, a) pairs in one numpy pass over all decorations.  The junior
-rows are then grouped into classes by the base graph's own automorphisms,
-also in numpy: each row maps to the smallest decoration in its orbit, so
-the Python work (canonical code, witness, admissible k) runs once per
-class.
+rows are then grouped into classes by their canonical codes, also in numpy:
+each row's least encoding over the vertex orderings of ``canonical_code``
+gives the code bytes, and the multidegrees give the admissible k, so the
+Python work per class is building its objects.
 """
 
 from __future__ import annotations
@@ -26,17 +26,16 @@ from .cochains import EvenFunction, OneCochain
 from .decorated import (
     DecoratedGraph,
     DecorationError,
-    admissible_k,
     contract_decorated,
 )
 from .ghosts import is_prime
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
+    _degree_orderings,
     canonical_code,
     enumerate_base_graphs,
     spanning_forest,
-    vertex_automorphisms,
 )
 
 SUPPORTED_LEVELS = (2, 3, 5, 7)
@@ -208,47 +207,55 @@ def classify_junior(
     return classes
 
 
-# per-class Python work (a canonical code, a witness, a multidegree) and the
-# class list itself grow with the junior decorations of one graph; cap them
-# for full (non-maximal) listings at large levels
+# per-class Python work (building the class objects) and the class list
+# itself grow with the junior decorations of one graph; cap them for full
+# (non-maximal) listings at large levels
 BUCKET_BOUND = 20_000
 
 
-def _orbit_minima(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
-    """For each decoration row of g, the grid index (the row index in
-    ``scan_graph``'s decorations) of the lexicographically smallest
-    decoration isomorphic to it.
-
-    An isomorphism of the decorated base graph is a vertex automorphism
-    followed by any permutation of parallel edges, and an edge whose ends
-    the automorphism swaps carries -M.  For a fixed vertex automorphism the
-    smallest image sorts the values inside each parallel-edge class, and the
-    mixed-radix grid index of ``scan_graph`` is in lexicographic order.
-    """
-    edges = g.edges
-    assert all(t < h for t, h in edges.values()), "base graphs store edges as (i, j), i < j"
-    cols: dict[tuple[int, int], list[int]] = {}
-    for i, pair in enumerate(edges.values()):
-        cols.setdefault(pair, []).append(i)
-    powers = (ell - 1) ** np.arange(g.n_edges - 1, -1, -1, dtype=np.int64)
-    best = None
-    for sigma in vertex_automorphisms(g):
-        landed: dict[tuple[int, int], list[int]] = {pair: [] for pair in cols}
-        neg = np.zeros(g.n_edges, dtype=bool)
-        for i, (t, h) in enumerate(edges.values()):
-            st, sh = sigma[t], sigma[h]
-            landed[(min(st, sh), max(st, sh))].append(i)
-            neg[i] = st > sh
-        perm = np.empty(g.n_edges, dtype=np.int64)
-        for pair, targets in cols.items():
-            perm[targets] = landed[pair]
-        image = np.where(neg, ell - rows, rows)[:, perm]
-        for targets in cols.values():
-            if len(targets) > 1:
-                image[:, targets] = np.sort(image[:, targets], axis=1)
-        index = (image - 1) @ powers
-        best = index if best is None else np.minimum(best, index)
+def _least_encodings(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
+    """Each all-nonzero decoration row's least encoding over the vertex
+    orderings of ``canonical_code`` on the loopless graph g: its sorted
+    edge codes (a nV + b) ell + m, for the edge's positions a < b and m its
+    M value, or ell - M where the ordering reverses it.  Rows are
+    isomorphic exactly when their least encodings are equal."""
+    assert not g.loops(), "base graphs are loopless"
+    n_v = g.n_vertices
+    at = np.arange(len(rows))
+    best = np.full(rows.shape, n_v * n_v * ell)  # above every edge code
+    for pos in _degree_orderings(g):
+        p = np.array([[pos[t], pos[h]] for t, h in g.edges.values()])
+        pair = (p.min(axis=1) * n_v + p.max(axis=1)) * ell
+        enc = np.sort(pair + np.where(p[:, 0] > p[:, 1], ell - rows, rows), axis=1)
+        # lexicographic comparison at each row's first differing column
+        col = (enc != best).argmax(axis=1)
+        less = enc[at, col] < best[at, col]
+        best[less] = enc[less]
     return best
+
+
+def _code_bytes(g: Multigraph, ell: int, enc: np.ndarray) -> list[bytes]:
+    """``decoration_code`` of each least encoding row, decoded into Python
+    ints, whose repr is the scalar code's."""
+    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
+    pair, m = np.divmod(enc, ell)
+    triples = np.stack([*np.divmod(pair, g.n_vertices), m], axis=-1).tolist()
+    return [repr((prefix, tuple(map(tuple, row)))).encode("ascii") for row in triples]
+
+
+def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozenset[int]]:
+    """``admissible_k`` of each decoration row, one frozenset per pattern: k
+    is admissible when gcd(2k, ell) divides dm - k (N - 2) at every vertex,
+    for the multidegree dm = rows @ B^T with B the signed incidence."""
+    at = np.array(g.vertices)[:, None]
+    tails, heads = np.array(list(g.edges.values())).T
+    dm = rows @ ((heads == at).astype(int) - (tails == at)).T
+    ks = np.arange(ell)[:, None]
+    rhs = dm[:, None, :] - ks * (np.array([g.degree(v) for v in g.vertices]) - 2)
+    ok = (rhs % np.gcd(2 * ks, ell) == 0).all(axis=2)
+    patterns, inverse = np.unique(ok, axis=0, return_inverse=True)
+    sets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns]
+    return [sets[i] for i in inverse.ravel().tolist()]
 
 
 @functools.lru_cache(maxsize=16)
@@ -256,7 +263,7 @@ def _classify_cached(
     ell: int, max_edges: int, only_maximal: bool
 ) -> tuple[StratumClass, ...]:
     # scan every base graph and test the bound before any per-class work,
-    # keeping only the rows that will be bucketed into classes
+    # keeping only the rows that will be grouped into classes
     found = []
     for g in enumerate_base_graphs(max_edges):
         scan = scan_graph(g, ell)
@@ -268,34 +275,31 @@ def _classify_cached(
                 f"bucketing bound; restrict to maximal classes or fewer edges"
             )
         if idxs.size:
-            found.append((g, idxs, scan.decorations[idxs], scan.age_num[idxs],
+            found.append((g, scan.decorations[idxs], scan.age_num[idxs],
                           scan.candidates[scan.witness_idx[idxs]], scan.maximal[idxs]))
     classes: list[StratumClass] = []
-    for g, idxs, rows, age_num, witnesses, maximal in found:
-        minima = _orbit_minima(g, ell, rows)
-        reps, inverse, counts = np.unique(
-            minima, return_inverse=True, return_counts=True
+    for g, rows, age_num, witnesses, maximal in found:
+        enc = _least_encodings(g, ell, rows)
+        # rows are in lexicographic order, so each class's first row is its
+        # smallest decoration
+        _, first, inverse, counts = np.unique(
+            enc, axis=0, return_index=True, return_inverse=True, return_counts=True
         )
-        # an orbit minimum is isomorphic to kept rows, so it is kept itself
-        at = np.searchsorted(idxs, reps)
-        assert (idxs[at] == reps).all(), "kept rows must be orbit invariant"
-        assert (maximal == maximal[at][inverse]).all(), (
-            "maximality must be orbit invariant"
-        )
-        for i, orbit_size in zip(at, counts):
+        assert (maximal == maximal[first][inverse.ravel()]).all(), "maximality must be orbit invariant"
+        codes = _code_bytes(g, ell, enc[first])
+        k_sets = _admissible_sets(g, ell, rows[first])
+        for i, code, k_set, orbit_size in zip(first.tolist(), codes, k_sets, counts.tolist()):
             rep = _decorated_from_vector(g, ell, rows[i])
-            witness = EvenFunction(
-                g, ell, {e: int(v) for e, v in zip(g.edge_ids, witnesses[i])}
-            )
+            witness = EvenFunction(g, ell, dict(zip(g.edge_ids, witnesses[i].tolist())))
             classes.append(StratumClass(
                 decorated=rep,
-                code=decoration_code(rep),
+                code=code,
                 vine=vine_notation(rep),
                 age=Fraction(int(age_num[i]), ell),
                 witness=witness,
                 codimension=g.n_edges,
-                admissible_k=admissible_k(rep),
-                orbit_size=int(orbit_size),
+                admissible_k=k_set,
+                orbit_size=orbit_size,
                 maximal=bool(maximal[i]),
             ))
     classes.sort(
@@ -333,24 +337,17 @@ def reduce_step(d: DecoratedGraph) -> Optional[tuple[DecoratedGraph, DecoratedGr
     """
     g = d.graph
     for v1 in g.vertices:
-        if any(g.is_loop(e) and v1 in g.ends(e) for e in g.edge_ids):
+        # the edges at v1 grouped by their other end; a loop's is v1 itself
+        by_nbr: dict[int, list[int]] = {}
+        for e, s in g.darts_at(v1):
+            by_nbr.setdefault(g.ends(e)[1 - s], []).append(e)
+        if v1 in by_nbr or len(by_nbr) != 2:
             continue
-        nbrs = sorted(g.neighbors(v1))
-        if len(nbrs) != 2:
-            continue
-        for v2 in nbrs:
-            v3 = nbrs[0] if v2 == nbrs[1] else nbrs[1]
-            connecting = [
-                e
-                for e, (t, h) in g.edges.items()
-                if {t, h} == {v1, v2}
-            ]
-            if len(connecting) != 1:
+        for v2, v3 in itertools.permutations(sorted(by_nbr)):
+            if len(by_nbr[v2]) != 1:
                 continue
-            e = connecting[0]
-            e_prime = min(
-                f for f, (t, h) in g.edges.items() if {t, h} == {v1, v3}
-            )
+            (e,) = by_nbr[v2]
+            e_prime = min(by_nbr[v3])
             # spanning tree through e_prime avoiding e
             rest = [f for f in sorted(g.edge_ids) if f not in (e_prime, e)]
             tree, _ = spanning_forest(g, [e_prime] + rest + [e])

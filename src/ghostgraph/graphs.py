@@ -189,9 +189,29 @@ def separating_edges(g: Multigraph) -> frozenset[int]:
 
     A tree edge that is not a bridge is crossed by some non-tree edge, whose
     circuit then runs through it.  Loops and parallel edges are never bridges.
+    Each circuit climbs from its ends towards their meeting point, jumping
+    over tree edges already covered, so every tree edge is covered once.
     """
     tset = spanning_tree(g)
-    return tset - {e for c in _circuits(g, tset) for e, _ in c}
+    _, parent, depth = _rooted_tree(g, tset)
+    # find(v): the highest vertex that v reaches by climbing covered tree edges
+    top = {v: v for v in g.vertices}
+
+    def find(v: int) -> int:
+        while top[v] != v:
+            top[v] = v = top[top[v]]
+        return v
+
+    bridges = set(tset)
+    for e in g._edges.keys() - tset:
+        x, y = g._edges[e]
+        while (x := find(x)) != (y := find(y)):
+            if depth[x] < depth[y]:
+                x, y = y, x
+            f, s = parent[x]
+            bridges.discard(f)
+            top[x] = g._edges[f][s]
+    return frozenset(bridges)
 
 
 def spanning_tree(g: Multigraph) -> frozenset[int]:
@@ -231,11 +251,7 @@ def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
 
     A loop yields a length-1 circuit.
     """
-    return _circuits(g, _check_spanning_tree(g, t))
-
-
-def _circuits(g: Multigraph, tset: frozenset[int]) -> list[list[Dart]]:
-    """``fundamental_circuits`` for a spanning tree known to be valid."""
+    tset = _check_spanning_tree(g, t)
     _, parent, depth = _rooted_tree(g, tset)
     circuits = []
     for e in sorted(set(g.edge_ids) - tset):
@@ -322,37 +338,6 @@ def canonical_code(
     return repr(best).encode("ascii")
 
 
-def vertex_automorphisms(g: Multigraph) -> list[dict[int, int]]:
-    """Every vertex permutation of g that keeps each vertex pair's edge
-    multiplicity, identity first.
-
-    Read off the orderings of ``canonical_code``: an ordering whose
-    unlabelled edge encoding equals the first one's is an automorphism
-    composed with the first ordering.
-    """
-    def pairs(pos: dict[int, int]) -> list[tuple[int, int]]:
-        return sorted(
-            (min(pos[t], pos[h]), max(pos[t], pos[h])) for t, h in g.edges.values()
-        )
-
-    orderings = _degree_orderings(g)
-    first = next(orderings)
-    vertex_at = {i: v for v, i in first.items()}
-    target = pairs(first)
-    return [{v: v for v in g.vertices}] + [
-        {v: vertex_at[pos[v]] for v in g.vertices}
-        for pos in orderings
-        if pairs(pos) == target
-    ]
-
-
-def _pair_multiset_graph(nv: int, pairs: list[tuple[int, int]]) -> Optional[Multigraph]:
-    try:
-        return Multigraph(range(nv), [(t, h) for t, h in pairs])
-    except GraphError:
-        return None
-
-
 def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
     """All connected loopless bridgeless multigraphs with >= 2 vertices and
     at most ``max_edges`` edges, one per isomorphism class.
@@ -373,7 +358,10 @@ def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
             if deficit > 2 * remaining:
                 return
             if all(d >= 2 for d in deg) and chosen:
-                graph = _pair_multiset_graph(nv, chosen)
+                try:
+                    graph = Multigraph(range(nv), chosen)
+                except GraphError:  # not connected
+                    graph = None
                 if graph is not None and not separating_edges(graph):
                     code = canonical_code(graph)
                     if code not in found:
@@ -381,18 +369,12 @@ def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
             if remaining == 0 or idx >= len(all_pairs):
                 return
             # take up to `remaining` more copies of pair idx, then move on
+            t, h = all_pairs[idx]
             for copies in range(remaining + 1):
-                if copies:
-                    chosen.extend([all_pairs[idx]] * copies)
-                    t, h = all_pairs[idx]
-                    deg[t] += copies
-                    deg[h] += copies
-                rec(idx + 1, remaining - copies, chosen, deg)
-                if copies:
-                    del chosen[-copies:]
-                    t, h = all_pairs[idx]
-                    deg[t] -= copies
-                    deg[h] -= copies
+                grown = list(deg)
+                grown[t] += copies
+                grown[h] += copies
+                rec(idx + 1, remaining - copies, chosen + [(t, h)] * copies, grown)
 
         # a subtlety: rec records graphs at every node, so run it once
         rec(0, max_edges, [], [0] * nv)

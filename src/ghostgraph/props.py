@@ -400,6 +400,25 @@ def prop_scan_ages(rng, n):
     return _run("scan_graph rows agree with minimal_age_report", rng, n, case)
 
 
+@_prop("classify", "numpy class codes equal decoration_code")
+def prop_class_codes(rng, n):
+    import numpy as np
+
+    from .classify import _code_bytes, _least_encodings, decoration_code
+
+    graphs = gr.enumerate_base_graphs(5)
+
+    def case(rng):
+        ell, g = rng.choice([3, 5, 7]), rng.choice(graphs)
+        ds = [random_decorated(rng, g, ell, faithful=True) for _ in range(10)]
+        rows = np.array([[d.m_value(e) for e in g.edge_ids] for d in ds])
+        codes = _code_bytes(g, ell, _least_encodings(g, ell, rows))
+        bad = [d for d, code in zip(ds, codes) if code != decoration_code(d)]
+        return f"numpy code differs from decoration_code on {bad[0]}" if bad else None
+
+    return _run("numpy class codes equal decoration_code", rng, n, case)
+
+
 SCOPES = tuple(_REGISTRY)
 
 

@@ -1,6 +1,7 @@
 """Junior-stratum classification: enumeration, codes, closure structure."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from ghostgraph import (
     Multigraph,
     OneCochain,
     SizeBoundExceeded,
+    admissible_k,
     classify_junior,
     contracts_to,
     enumerate_base_graphs,
@@ -23,7 +25,14 @@ from ghostgraph import (
     stratum_age,
     vine_notation,
 )
-from ghostgraph.classify import BUCKET_BOUND, decoration_code, scan_graph
+from ghostgraph.classify import (
+    BUCKET_BOUND,
+    _admissible_sets,
+    _code_bytes,
+    _least_encodings,
+    decoration_code,
+    scan_graph,
+)
 from ghostgraph.ghosts import age, is_supported
 
 from oracles import brute_in_image_delta, brute_junior_classes, brute_stratum_age
@@ -88,6 +97,30 @@ class TestEnumerateDecorations:
     def test_composite_rejected(self):
         with pytest.raises(DecorationError):
             enumerate_decorations(vine(2), 6)
+
+
+class TestClassCodes:
+    """The numpy class codes and admissible k of every all-nonzero
+    decoration of small base graphs, against the scalar references."""
+
+    @pytest.mark.parametrize(
+        "ell,edge_counts",
+        [(3, (2, 3, 4)), (5, (2, 3, 4, 5)), (7, (2, 3, 4))],
+        ids=["ell3", "ell5", "ell7"],
+    )
+    def test_match_decoration_code_and_admissible_k(self, ell, edge_counts):
+        graphs = [g for g in enumerate_base_graphs(max(edge_counts))
+                  if g.n_edges in edge_counts]
+        assert graphs
+        for g in graphs:
+            rows = np.array(list(itertools.product(range(1, ell), repeat=g.n_edges)))
+            codes = _code_bytes(g, ell, _least_encodings(g, ell, rows))
+            k_sets = _admissible_sets(g, ell, rows)
+            assert len(codes) == len(k_sets) == len(rows)
+            for row, code, k_set in zip(rows.tolist(), codes, k_sets):
+                d = dec(g, ell, dict(zip(g.edge_ids, row)))
+                assert code == decoration_code(d), (g, row)
+                assert k_set == admissible_k(d), (g, row)
 
 
 class TestScanGraph:
@@ -217,6 +250,17 @@ class TestClassifyJunior:
                 assert c.admissible_k == {
                     k for k in range(ell) if genus_labeling(c.decorated, k) is not None
                 }
+
+    def test_listing_matches_scalar_reference(self):
+        """Every ell = 7 class up to 5 edges carries the scalar code and
+        admissible k, and its orbits cover the junior rows of its graph."""
+        covered = Counter()
+        for c in classify_junior(7, max_edges=5):
+            assert c.code == decoration_code(c.decorated)
+            assert c.admissible_k == admissible_k(c.decorated)
+            covered[c.decorated.graph] += c.orbit_size
+        junior = {g: int(scan_graph(g, 7).junior.sum()) for g in enumerate_base_graphs(5)}
+        assert covered == {g: n for g, n in junior.items() if n}
 
     def test_full_listing_keeps_bucket_bound(self):
         with pytest.raises(SizeBoundExceeded, match="bucketing bound") as info:

@@ -1,8 +1,6 @@
 """Multigraph structure: contraction, bridges, trees, circuits, codes."""
 
-import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -18,7 +16,7 @@ from ghostgraph import (
     separating_edges,
     spanning_tree,
 )
-from ghostgraph.graphs import SizeBoundExceeded, vertex_automorphisms
+from ghostgraph.graphs import SizeBoundExceeded
 
 from oracles import brute_bridges, connected_multigraphs
 
@@ -139,6 +137,22 @@ class TestSeparatingEdges:
         g = Multigraph([0], [(0, 0)])
         assert separating_edges(g) == set()
 
+    @staticmethod
+    def chorded_path(n=1000, pendant=False):
+        """A path on n vertices whose two ends are joined by n parallel
+        chords, so n fundamental circuits share the whole path."""
+        edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)] * n
+        if pendant:
+            edges.append((n - 1, n))
+        return Multigraph(range(n + pendant), edges)
+
+    def test_chorded_path(self):
+        assert separating_edges(self.chorded_path()) == set()
+
+    def test_chorded_path_with_pendant_edge(self):
+        g = self.chorded_path(pendant=True)
+        assert separating_edges(g) == {g.n_edges - 1}
+
     @pytest.mark.parametrize(
         "g", connected_multigraphs(4) + [random_graph(seed) for seed in range(30)]
     )
@@ -242,48 +256,6 @@ class TestCanonicalCode:
         g = Multigraph(range(n), [(i, (i + 1) % n) for i in range(n)])
         with pytest.raises(SizeBoundExceeded):
             canonical_code(g)
-
-
-class TestVertexAutomorphisms:
-    @staticmethod
-    def brute(g):
-        """Every vertex permutation that keeps each pair's edge multiplicity."""
-        pairs = Counter(frozenset(ends) for ends in g.edges.values())
-        out = []
-        for image in itertools.permutations(g.vertices):
-            sigma = dict(zip(g.vertices, image))
-            moved = Counter(
-                frozenset((sigma[t], sigma[h])) for t, h in g.edges.values()
-            )
-            if moved == pairs:
-                out.append(sigma)
-        return out
-
-    def test_known_group_orders(self):
-        k4 = Multigraph(range(4), list(itertools.combinations(range(4), 2)))
-        square = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert len(vertex_automorphisms(vine(3))) == 2
-        assert len(vertex_automorphisms(triangle())) == 6
-        assert len(vertex_automorphisms(square)) == 8
-        assert len(vertex_automorphisms(k4)) == 24
-        assert len(vertex_automorphisms(barbell())) == 2
-
-    def test_identity_first(self):
-        g = Multigraph([3, 7, 9], [(3, 7), (7, 9), (9, 3), (3, 7)])
-        autos = vertex_automorphisms(g)
-        assert autos[0] == {3: 3, 7: 7, 9: 9}
-        assert len(autos) == 2
-
-    def test_matches_brute_force(self):
-        for g in connected_multigraphs(4):
-            got = sorted(sorted(a.items()) for a in vertex_automorphisms(g))
-            assert got == sorted(sorted(a.items()) for a in self.brute(g))
-
-    def test_size_bound(self):
-        n = 9
-        g = Multigraph(range(n), [(i, (i + 1) % n) for i in range(n)])
-        with pytest.raises(SizeBoundExceeded):
-            vertex_automorphisms(g)
 
 
 class TestEnumerateBaseGraphs:
