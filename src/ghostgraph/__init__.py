@@ -69,7 +69,6 @@ from .classify import (
     StratumClass,
     classify_junior,
     contracts_to,
-    enumerate_decorations,
     prop_k_symmetry,
     reduce_step,
     vine_notation,

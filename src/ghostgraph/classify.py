@@ -158,27 +158,6 @@ def _decorated_from_vector(g: Multigraph, ell: int, vec) -> DecoratedGraph:
     return DecoratedGraph(g, ell, OneCochain(g, ell, vals))
 
 
-def enumerate_decorations(g: Multigraph, ell: int) -> list[DecoratedGraph]:
-    """All-nonzero decorations of g, one per isomorphism class.
-
-    Isomorphisms are graph automorphisms acting on darts; dart reversal
-    negates M.  Deterministic order: canonical code.
-    """
-    if not is_prime(ell):
-        raise DecorationError(f"level must be prime, got {ell}")
-    if (ell - 1) ** g.n_edges > 10**7:
-        raise SizeBoundExceeded("too many decorations to enumerate")
-    chosen: dict[bytes, tuple[int, ...]] = {}
-    for vec in itertools.product(range(1, ell), repeat=g.n_edges):
-        d = _decorated_from_vector(g, ell, vec)
-        code = decoration_code(d)
-        if code not in chosen or vec < chosen[code]:
-            chosen[code] = vec
-    return [
-        _decorated_from_vector(g, ell, chosen[code]) for code in sorted(chosen)
-    ]
-
-
 def classify_junior(
     ell: int,
     k: Optional[int] = None,

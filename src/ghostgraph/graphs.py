@@ -342,43 +342,37 @@ def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
     """All connected loopless bridgeless multigraphs with >= 2 vertices and
     at most ``max_edges`` edges, one per isomorphism class.
 
-    Every vertex necessarily has degree >= 2.  Deterministic order:
-    (edge count, vertex count, canonical code).
+    Every vertex necessarily has degree >= 2, so #V <= #E.  Each class comes
+    in its greatest labelling: vertices ``range(#V)``, edge ids numbering the
+    pairs (t < h) in ascending order, and no vertex permutation gives a
+    greater sorted pair list.  The snapshots are written in this labelling.
+    Deterministic order: (edge count, vertex count, canonical code).
     """
     if max_edges > MAX_CODE_VERTICES:
-        raise SizeBoundExceeded("enumerate_base_graphs limited to 8 edges")
-    found: dict[bytes, tuple[int, int, Multigraph]] = {}
+        raise SizeBoundExceeded(
+            f"enumerate_base_graphs limited to {MAX_CODE_VERTICES} edges, "
+            f"asked for {max_edges}"
+        )
+    kept = []
     for nv in range(2, max_edges + 1):
-        all_pairs = [
-            (i, j) for i in range(nv) for j in range(i + 1, nv)
-        ]
-
-        def rec(idx: int, remaining: int, chosen: list[tuple[int, int]], deg: list[int]):
-            deficit = sum(max(0, 2 - d) for d in deg)
-            if deficit > 2 * remaining:
-                return
-            if all(d >= 2 for d in deg) and chosen:
+        pairs = list(itertools.combinations(range(nv), 2))
+        relabellings = list(itertools.permutations(range(nv)))
+        for ne in range(nv, max_edges + 1):
+            for chosen in itertools.combinations_with_replacement(pairs, ne):
+                ends = list(itertools.chain.from_iterable(chosen))
+                if any(ends.count(v) < 2 for v in range(nv)):
+                    continue
+                if any(
+                    tuple(sorted((min(p[t], p[h]), max(p[t], p[h])) for t, h in chosen))
+                    > chosen
+                    for p in relabellings
+                ):
+                    continue
                 try:
-                    graph = Multigraph(range(nv), chosen)
+                    g = Multigraph(range(nv), chosen)
                 except GraphError:  # not connected
-                    graph = None
-                if graph is not None and not separating_edges(graph):
-                    code = canonical_code(graph)
-                    if code not in found:
-                        found[code] = (graph.n_edges, graph.n_vertices, graph)
-            if remaining == 0 or idx >= len(all_pairs):
-                return
-            # take up to `remaining` more copies of pair idx, then move on
-            t, h = all_pairs[idx]
-            for copies in range(remaining + 1):
-                grown = list(deg)
-                grown[t] += copies
-                grown[h] += copies
-                rec(idx + 1, remaining - copies, chosen + [(t, h)] * copies, grown)
-
-        # a subtlety: rec records graphs at every node, so run it once
-        rec(0, max_edges, [], [0] * nv)
-    ordered = sorted(
-        found.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0])
-    )
-    return [graph for _, (_, _, graph) in ordered]
+                    continue
+                if not separating_edges(g):
+                    kept.append(((ne, nv, canonical_code(g)), g))
+    kept.sort(key=lambda item: item[0])
+    return [g for _, g in kept]

@@ -17,7 +17,6 @@ from ghostgraph import (
     classify_junior,
     contracts_to,
     enumerate_base_graphs,
-    enumerate_decorations,
     genus_labeling,
     lifts,
     prop_k_symmetry,
@@ -71,32 +70,42 @@ class TestVineNotation:
         assert vine_notation(dec(g, 5, {0: 1, 1: 1, 2: 1})) is None
 
 
+def decoration_orbits(g, ell):
+    """The all-nonzero decorations of g grouped into isomorphism classes by
+    the scalar ``decoration_code``: code -> the decorations of its orbit."""
+    orbits = {}
+    for values in itertools.product(range(1, ell), repeat=g.n_edges):
+        d = dec(g, ell, dict(zip(g.edge_ids, values)))
+        orbits.setdefault(decoration_code(d), []).append(d)
+    return orbits
+
+
+def vine_orbit_notations(ell):
+    orbits = decoration_orbits(vine(2), ell).values()
+    notations = [{vine_notation(d) for d in orbit} for orbit in orbits]
+    assert all(len(n) == 1 for n in notations), "vine notation is an orbit invariant"
+    return sorted(n.pop() for n in notations)
+
+
 class TestEnumerateDecorations:
+    """Decoration orbits enumerated by the scalar ``decoration_code``."""
+
     def test_ell3_vine(self):
-        out = enumerate_decorations(vine(2), 3)
-        assert sorted(vine_notation(d) for d in out) == [(1, 1), (1, 2)]
+        assert vine_orbit_notations(3) == [(1, 1), (1, 2)]
 
     def test_ell5_vine_orbits(self):
-        out = enumerate_decorations(vine(2), 5)
-        notations = sorted(vine_notation(d) for d in out)
+        notations = vine_orbit_notations(5)
         assert notations == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
         # the 16 labelled decorations split into these orbits
-        orbits = {}
-        for values in itertools.product(range(1, 5), repeat=2):
-            code = decoration_code(dec(vine(2), 5, dict(enumerate(values))))
-            orbits[code] = orbits.get(code, 0) + 1
+        orbits = decoration_orbits(vine(2), 5)
         assert len(orbits) == 6
-        assert sum(orbits.values()) == 16
+        assert sum(map(len, orbits.values())) == 16
 
     def test_ell2_single_decoration(self):
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0)])
-        out = enumerate_decorations(g, 2)
-        assert len(out) == 1
-        assert all(out[0].m_value(e) == 1 for e in g.edge_ids)
-
-    def test_composite_rejected(self):
-        with pytest.raises(DecorationError):
-            enumerate_decorations(vine(2), 6)
+        (orbit,) = decoration_orbits(g, 2).values()
+        assert len(orbit) == 1
+        assert all(orbit[0].m_value(e) == 1 for e in g.edge_ids)
 
 
 class TestClassCodes:

@@ -1,6 +1,8 @@
 """Multigraph structure: contraction, bridges, trees, circuits, codes."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -268,11 +270,12 @@ class TestEnumerateBaseGraphs:
         expected = {canonical_code(vine(2)), canonical_code(vine(3)), canonical_code(triangle())}
         assert codes == expected
 
-    def test_matches_oracle_up_to_four_edges(self):
-        got = {canonical_code(g) for g in enumerate_base_graphs(4)}
+    @pytest.mark.parametrize("max_edges", [4, 5])
+    def test_matches_oracle(self, max_edges):
+        got = {canonical_code(g) for g in enumerate_base_graphs(max_edges)}
         expected = {
             canonical_code(g)
-            for g in connected_multigraphs(4)
+            for g in connected_multigraphs(max_edges)
             if g.n_vertices >= 2 and not g.loops() and not brute_bridges(g)
         }
         assert got == expected
@@ -284,8 +287,32 @@ class TestEnumerateBaseGraphs:
             assert all(g.degree(v) >= 2 for v in g.vertices)
             assert g.n_vertices >= 2
 
-    def test_deterministic_order(self):
-        a = [canonical_code(g) for g in enumerate_base_graphs(5)]
-        b = [canonical_code(g) for g in enumerate_base_graphs(5)]
-        assert a == b
-        assert len(set(a)) == len(a)
+    def test_greatest_labelling(self):
+        """Each graph lives on range(#V), its edge ids number its sorted pair
+        list, and no vertex permutation gives a greater sorted pair list."""
+        for g in enumerate_base_graphs(6):
+            assert g.vertices == tuple(range(g.n_vertices))
+            assert g.edge_ids == tuple(range(g.n_edges))
+            pairs = tuple(g.ends(e) for e in g.edge_ids)
+            assert pairs == tuple(sorted(pairs))
+            assert all(t < h for t, h in pairs)
+            for p in itertools.permutations(g.vertices):
+                relabelled = sorted(tuple(sorted((p[t], p[h]))) for t, h in pairs)
+                assert tuple(relabelled) <= pairs, (g, p)
+
+    def test_smaller_bound_is_prefix(self):
+        five, six = enumerate_base_graphs(5), enumerate_base_graphs(6)
+        assert five == six[: len(five)]
+        assert all(g.n_edges == 6 for g in six[len(five):])
+
+    def test_counts_and_order(self):
+        graphs = enumerate_base_graphs(6)
+        counts = Counter(g.n_edges for g in graphs)
+        assert counts == {2: 1, 3: 2, 4: 4, 5: 8, 6: 23}
+        keys = [(g.n_edges, g.n_vertices, canonical_code(g)) for g in graphs]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
+
+    def test_size_bound(self):
+        with pytest.raises(SizeBoundExceeded, match="limited to 8 edges, asked for 9"):
+            enumerate_base_graphs(9)
