@@ -10,6 +10,9 @@ rows are then grouped into classes by their canonical codes, also in numpy:
 each row's least encoding over the vertex orderings of ``canonical_code``
 gives the code bytes, and the multidegrees give the admissible k, so the
 Python work per class is building its objects.
+
+numpy is imported inside the kernels that use it, so importing the
+package, and analyzing one graph, never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .cochains import EvenFunction, OneCochain
 from .decorated import (
@@ -85,6 +86,8 @@ def vine_notation(d: DecoratedGraph) -> Optional[tuple[int, ...]]:
 def _candidate_matrix(n_edges: int, ell: int):
     """All nonzero rep vectors with entry sum below ell, in lexicographic
     order: the gaps between n_edges bars among ell - 1 + n_edges slots."""
+    import numpy as np
+
     bars = np.array(list(itertools.combinations(range(ell - 1 + n_edges), n_edges)))
     return (np.diff(bars, axis=1, prepend=-1) - 1)[1:]
 
@@ -115,6 +118,8 @@ def scan_graph(g: Multigraph, ell: int) -> _GraphScan:
     set reached it.  Memory: a few arrays over that grid plus one
     pattern's pairs, at most ell^(#V-1) * C(ell-1, |S|) rows of |S|.
     """
+    import numpy as np
+
     n_e, n_v = g.n_edges, g.n_vertices
     cands = _candidate_matrix(n_e, ell)
     n_c = cands.shape[0]
@@ -198,6 +203,8 @@ def _least_encodings(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
     edge codes (a nV + b) ell + m, for the edge's positions a < b and m its
     M value, or ell - M where the ordering reverses it.  Rows are
     isomorphic exactly when their least encodings are equal."""
+    import numpy as np
+
     assert not g.loops(), "base graphs are loopless"
     n_v = g.n_vertices
     at = np.arange(len(rows))
@@ -216,6 +223,8 @@ def _least_encodings(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
 def _code_bytes(g: Multigraph, ell: int, enc: np.ndarray) -> list[bytes]:
     """``decoration_code`` of each least encoding row, decoded into Python
     ints, whose repr is the scalar code's."""
+    import numpy as np
+
     prefix = tuple(sorted(g.degree(v) for v in g.vertices))
     pair, m = np.divmod(enc, ell)
     triples = np.stack([*np.divmod(pair, g.n_vertices), m], axis=-1).tolist()
@@ -226,6 +235,8 @@ def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozense
     """``admissible_k`` of each decoration row, one frozenset per pattern: k
     is admissible when gcd(2k, ell) divides dm - k (N - 2) at every vertex,
     for the multidegree dm = rows @ B^T with B the signed incidence."""
+    import numpy as np
+
     at = np.array(g.vertices)[:, None]
     tails, heads = np.array(list(g.edges.values())).T
     dm = rows @ ((heads == at).astype(int) - (tails == at)).T
@@ -241,6 +252,8 @@ def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozense
 def _classify_cached(
     ell: int, max_edges: int, only_maximal: bool
 ) -> tuple[StratumClass, ...]:
+    import numpy as np
+
     # scan every base graph and test the bound before any per-class work,
     # keeping only the rows that will be grouped into classes
     found = []
@@ -250,8 +263,9 @@ def _classify_cached(
         idxs = np.nonzero(mask)[0]
         if idxs.size > BUCKET_BOUND:
             raise SizeBoundExceeded(
-                f"{idxs.size} junior decorations on one graph exceed the "
-                f"bucketing bound; restrict to maximal classes or fewer edges"
+                f"{idxs.size} junior decorations on the base graph "
+                f"{list(g.edges.values())} exceed the bucketing bound "
+                f"BUCKET_BOUND = {BUCKET_BOUND}; restrict to maximal classes or fewer edges"
             )
         if idxs.size:
             found.append((g, scan.decorations[idxs], scan.age_num[idxs],

@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 property or snapshot failure, 2 usage error,
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +45,10 @@ EXIT_FAILURE = 1
 EXIT_PARSE = 3
 EXIT_BOUND = 4
 
+# Largest integer analyze prints, in decimal digits.  int -> str is
+# quadratic in CPython: 10^5 digits print in about 0.2 s, 10^6 in 18 s.
+MAX_DIGITS = 100_000
+
 
 def _rational(x) -> Optional[str]:
     if x is None:
@@ -57,6 +63,36 @@ def main():
     """Ghost automorphisms of decorated dual graphs."""
 
 
+def _check_digits(what: str, base: int, exp: int):
+    """Raise SizeBoundExceeded when base ** exp has more than MAX_DIGITS
+    decimal digits, counted as floor(exp log10 base) + 1 before the
+    integer is built."""
+    if base < 2 or exp < 1:
+        return
+    try:
+        digits = math.floor(exp * math.log10(base)) + 1
+        asked = f"{what} = {base}^{exp} has {digits} digits"
+    except OverflowError:  # exp is past the float range
+        digits, asked = math.inf, f"{what} = {base}^e has more than 10^308 digits"
+    if digits > MAX_DIGITS:
+        raise SizeBoundExceeded(f"digit bound MAX_DIGITS = {MAX_DIGITS} exceeded: {asked}")
+
+
+@contextlib.contextmanager
+def _int_digits(limit: int):
+    """Let int <-> str conversions reach ``limit`` digits; CPython caps them
+    at 4300 by default, 0 meaning no cap."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # a CPython without the cap
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(old and max(old, limit))
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def build_report(d, k: Optional[int]) -> dict:
     ell = d.ell
     # gamma0 hands a faithful graph back as it is, so passing d0 on contracts once
@@ -64,6 +100,17 @@ def build_report(d, k: Optional[int]) -> dict:
     g0 = d0.graph
     fac = prime_factors(ell)
     prime = is_prime(ell)
+    # size the printed powers of ell before any search; qr_order is at most
+    # ghost_group_order
+    if prime:
+        _check_digits("ghost_group_order", ell, g0.n_vertices - 1)
+    if k is not None:
+        labels = genus_labeling(d, k)
+        g_total = None if labels is None else total_genus(d.with_genus(labels))
+    else:
+        g_total = None if d.genus is None else total_genus(d)
+    if g_total is not None:
+        _check_digits("root_count", ell, 2 * g_total)
     per_prime = {}
     for p in fac:
         gp = gamma_p(d, p)
@@ -115,16 +162,9 @@ def build_report(d, k: Optional[int]) -> dict:
         else {"part1": sorted(vw[0]), "part2": sorted(vw[1]), "n": vw[2]}
     )
     if k is not None:
-        labels = genus_labeling(d, k)
         report["k"] = k % ell
         report["genus_labeling"] = labels
-        if labels is not None:
-            labelled = d.with_genus(labels)
-            g_total = total_genus(labelled)
-            report["total_genus"] = g_total
-            report["root_count"] = root_count(g_total, ell)
-    elif d.genus is not None:
-        g_total = total_genus(d)
+    if g_total is not None:
         report["total_genus"] = g_total
         report["root_count"] = root_count(g_total, ell)
     return report
@@ -182,19 +222,20 @@ def analyze(path: Path, k: Optional[int], as_json: bool):
     except OSError as exc:
         click.echo(f"cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_PARSE)
-    try:
-        d = parse_decorated(text)
-        report = build_report(d, k)
-    except DecorationError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(EXIT_PARSE)
-    except SizeBoundExceeded as exc:
-        click.echo(f"resource bound: {exc}", err=True)
-        sys.exit(EXIT_BOUND)
-    if as_json:
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        click.echo(_format_report(report))
+    with _int_digits(MAX_DIGITS):
+        try:
+            d = parse_decorated(text)
+            report = build_report(d, k)
+        except DecorationError as exc:
+            click.echo(f"parse error: {exc}", err=True)
+            sys.exit(EXIT_PARSE)
+        except SizeBoundExceeded as exc:
+            click.echo(f"resource bound: {exc}", err=True)
+            sys.exit(EXIT_BOUND)
+        if as_json:
+            click.echo(json.dumps(report, sort_keys=True, indent=2))
+        else:
+            click.echo(_format_report(report))
 
 
 def class_row(c: StratumClass) -> dict:
@@ -245,7 +286,7 @@ def rows_to_tsv(rows: list[dict]) -> str:
     "--snapshot",
     type=click.Path(path_type=Path),
     default=None,
-    help="compare the TSV table against <dir>/ell<L>_k<K>.tsv",
+    help="compare the TSV table against <dir>/ell<L>_k<K>.tsv (<dir>/ell<L>_k<K>_full.tsv with --all)",
 )
 def classify(ell, k, max_edges, fmt, show_all, snapshot):
     """Classify junior strata; closure-maximal classes by default."""
@@ -265,7 +306,7 @@ def classify(ell, k, max_edges, fmt, show_all, snapshot):
     else:
         click.echo(rows_to_tsv(rows), nl=False)
     if snapshot is not None:
-        name = f"ell{ell}_k{'all' if k is None else k % ell}.tsv"
+        name = f"ell{ell}_k{'all' if k is None else k % ell}{'_full' if show_all else ''}.tsv"
         ref_path = Path(snapshot) / name
         try:
             expected = ref_path.read_text()

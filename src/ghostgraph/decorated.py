@@ -253,6 +253,8 @@ def parse_decorated(text: str) -> DecoratedGraph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecorationError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DecorationError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DecorationError("top-level JSON value must be an object")
     return decorated_from_dict(data)

@@ -288,7 +288,8 @@ def _degree_orderings(
     is bounded by ``max_vertices``."""
     if g.n_vertices > max_vertices:
         raise SizeBoundExceeded(
-            f"canonical_code limited to {max_vertices} vertices"
+            f"canonical_code limited to {max_vertices} vertices, "
+            f"asked for {g.n_vertices}"
         )
     classes: dict[int, list[int]] = {}
     for v in g.vertices:

@@ -2,19 +2,52 @@
 
 Everything here recomputes results from first principles: membership in
 im delta by enumerating all potentials, ghost groups by testing every
-even function, bridges by edge removal, and the junior classification by
-a labelled no-pruning pipeline.  The implementations deliberately avoid
-the library's own algorithms (circuit tests, cut bases, vectorized
-scans) so agreement is meaningful.
+even function, bridges by edge removal, isomorphism classes by trying
+every vertex permutation, and the junior classification by a labelled
+no-pruning pipeline.  The implementations deliberately avoid the
+library's own algorithms (circuit tests, cut bases, canonical codes,
+vectorized scans) so agreement is meaningful.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
-from ghostgraph import DecoratedGraph, Multigraph, OneCochain, canonical_code
-from ghostgraph.classify import decoration_code
+from ghostgraph import DecoratedGraph, Multigraph, OneCochain
+
+
+# ---------------------------------------------------------------------------
+# isomorphism keys
+
+
+def brute_key(g: Multigraph, labels=None, ell: int = 1):
+    """Isomorphism key by brute force: the least sorted edge list over all
+    #V! relabellings of the vertices by range(#V).  An edge is (a, b, m)
+    with positions a <= b and m its label read from a to b, so reversing a
+    dart negates m mod ell; a loop keeps the lesser of m and -m.  Without
+    labels every m is 0."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    # each edge's ends and its label read forwards and backwards
+    ends = []
+    for e, (t, h) in g.edges.items():
+        m = labels[e] if labels else 0
+        ends.append((index[t], index[h], m, -m % ell))
+
+    def encoding(p):
+        out = []
+        for t, h, m, r in ends:
+            a, b = p[t], p[h]
+            out.append((a, b, m) if a < b else (b, a, r) if a > b else (a, a, min(m, r)))
+        out.sort()
+        return out
+
+    return g.n_vertices, tuple(min(map(encoding, itertools.permutations(range(g.n_vertices)))))
+
+
+def brute_decoration_key(d: DecoratedGraph):
+    return brute_key(d.graph, {e: d.m_value(e) for e in d.graph.edge_ids}, d.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +56,13 @@ from ghostgraph.classify import decoration_code
 
 def connected_multigraphs(max_edges: int, dedup: bool = True):
     """All connected multigraphs (loops and bridges allowed) with at most
-    max_edges edges, one per isomorphism class when dedup is set."""
+    max_edges edges, one per isomorphism class (the first one met) when
+    dedup is set."""
+    return list(_connected_multigraphs(max_edges, dedup))
+
+
+@functools.cache  # the corpus is built once per test session
+def _connected_multigraphs(max_edges: int, dedup: bool) -> tuple:
     out = []
     seen = set()
     for n_v in range(1, max_edges + 2):
@@ -35,12 +74,12 @@ def connected_multigraphs(max_edges: int, dedup: bool = True):
                 if g is None:
                     continue
                 if dedup:
-                    code = canonical_code(g)
-                    if code in seen:
+                    key = brute_key(g)
+                    if key in seen:
                         continue
-                    seen.add(code)
+                    seen.add(key)
                 out.append(g)
-    return out
+    return tuple(out)
 
 
 def _build_connected(n_v, combo):
@@ -234,14 +273,12 @@ def vine_stratum_age(ell: int, ms) -> Fraction:
 # labelled no-pruning classification oracle
 
 
-def brute_junior_classes(ell: int, max_edges: int):
-    """Canonical codes of all junior decorated classes with loopless,
-    bridgeless base and at most max_edges edges: every labelled graph,
-    every decoration, no isomorphism pruning before the final dedup.
-
-    Returns {code: (age, maximal)}.
-    """
-    out = {}
+@functools.cache
+def junior_decorations(ell: int, max_edges: int) -> tuple:
+    """Every junior decoration, as (decorated graph, age, maximal), on every
+    labelled loopless bridgeless graph with at most max_edges edges.
+    Memoized: two tests walk the same corpus."""
+    out = []
     for g in connected_multigraphs(max_edges, dedup=False):
         if g.loops() or brute_bridges(g) or g.n_vertices < 2:
             continue
@@ -263,11 +300,20 @@ def brute_junior_classes(ell: int, max_edges: int):
                 continue
             age = Fraction(min(sum(v) for v in juniors), ell)
             maximal = all(0 not in v for v in juniors)
-            d = DecoratedGraph(g, ell, OneCochain(g, ell, m))
-            code = decoration_code(d)
-            prev = out.get(code)
-            if prev is None:
-                out[code] = (age, maximal)
-            else:
-                assert prev == (age, maximal), "class invariants must agree"
+            out.append((DecoratedGraph(g, ell, OneCochain(g, ell, m)), age, maximal))
+    return tuple(out)
+
+
+def brute_junior_classes(ell: int, max_edges: int):
+    """Every junior decorated class with loopless, bridgeless base and at
+    most max_edges edges, from every labelled graph and every decoration,
+    with no isomorphism pruning before the final dedup by ``brute_key``.
+
+    Returns {brute key: (age, maximal)}.
+    """
+    out = {}
+    for d, age, maximal in junior_decorations(ell, max_edges):
+        key = brute_decoration_key(d)
+        prev = out.setdefault(key, (age, maximal))
+        assert prev == (age, maximal), "class invariants must agree"
     return out

@@ -34,7 +34,13 @@ from ghostgraph.classify import (
 )
 from ghostgraph.ghosts import age, is_supported
 
-from oracles import brute_in_image_delta, brute_junior_classes, brute_stratum_age
+from oracles import (
+    brute_decoration_key,
+    brute_in_image_delta,
+    brute_junior_classes,
+    brute_stratum_age,
+    junior_decorations,
+)
 
 
 def vine(n):
@@ -219,13 +225,26 @@ class TestClassifyJunior:
 
     def test_matches_brute_classification_ell3(self):
         expected = brute_junior_classes(3, 2)
-        got = {c.code: (c.age, c.maximal) for c in classify_junior(3)}
+        classes = classify_junior(3)
+        got = {brute_decoration_key(c.decorated): (c.age, c.maximal) for c in classes}
+        assert len(got) == len(classes)
         assert got == expected
 
     def test_matches_brute_classification_ell5(self):
         expected = brute_junior_classes(5, 4)
-        got = {c.code: (c.age, c.maximal) for c in classify_junior(5)}
+        classes = classify_junior(5)
+        got = {brute_decoration_key(c.decorated): (c.age, c.maximal) for c in classes}
+        assert len(got) == len(classes)
         assert got == expected
+
+    def test_brute_key_partition_matches_decoration_code(self):
+        # the oracle's permutation key and the library's code group the
+        # labelled junior decorations the same way
+        pairs = {
+            (brute_decoration_key(d), decoration_code(d))
+            for d, _, _ in junior_decorations(5, 4)
+        }
+        assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs}) == 179
 
     def test_no_junior_class_at_ell_edges(self):
         for c in classify_junior(5, max_edges=4):
@@ -272,7 +291,11 @@ class TestClassifyJunior:
         assert covered == {g: n for g, n in junior.items() if n}
 
     def test_full_listing_keeps_bucket_bound(self):
-        with pytest.raises(SizeBoundExceeded, match="bucketing bound") as info:
+        with pytest.raises(
+            SizeBoundExceeded,
+            match=r"junior decorations on the base graph \[.*\] exceed the "
+            r"bucketing bound BUCKET_BOUND = 20000;",
+        ) as info:
             classify_junior(7, only_maximal=False)
         assert int(str(info.value).split()[0]) > BUCKET_BOUND
 

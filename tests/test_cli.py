@@ -1,16 +1,25 @@
 """Command-line interface: reports, tables, snapshots, exit codes."""
 
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from ghostgraph import DecoratedGraph, Multigraph, genus_labeling, ghost_group, qr_subgroup
-from ghostgraph.cli import build_report, main
+from ghostgraph.cli import MAX_DIGITS, _int_digits, build_report, main
 from ghostgraph.decorated import MAX_LEVEL
 
 from oracles import connected_multigraphs, vine_stratum_age
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SNAPSHOTS = ROOT / "snapshots"
 
 
 def vine_file(tmp_path, ell, values, name="graph.json"):
@@ -20,6 +29,17 @@ def vine_file(tmp_path, ell, values, name="graph.json"):
         "edges": [{"tail": 0, "head": 1, "m": m} for m in values],
     }
     path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def path_file(tmp_path, ell, n):
+    data = {
+        "ell": ell,
+        "vertices": [{"id": i, "genus": None} for i in range(n)],
+        "edges": [{"tail": i, "head": i + 1, "m": 1} for i in range(n - 1)],
+    }
+    path = tmp_path / "path.json"
     path.write_text(json.dumps(data))
     return path
 
@@ -104,6 +124,52 @@ class TestAnalyze:
         assert result.exit_code == 4
         assert isinstance(result.exception, SystemExit)
         assert f"MAX_LEVEL = {MAX_LEVEL}" in result.output
+
+    def test_root_count_past_default_digit_limit(self, tmp_path):
+        # total genus 1010, so root_count = 1009^2020 has 6,068 digits
+        path = vine_file(tmp_path, 1009, (1, 2, 1006))
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json", "--k", "1"])
+        assert result.exit_code == 0
+        with _int_digits(MAX_DIGITS):
+            report = json.loads(result.output)
+            assert len(str(report["root_count"])) == 6068
+        assert report["root_count"] == 1009 ** 2020
+
+    def test_group_order_past_default_digit_limit(self, tmp_path):
+        # a 1,500-vertex path: ghost_group_order = 1009^1499 has 4,503 digits
+        path = path_file(tmp_path, 1009, 1500)
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert result.exit_code == 0
+        with _int_digits(MAX_DIGITS):
+            assert json.loads(result.output)["ghost_group_order"] == 1009 ** 1499
+            text = CliRunner().invoke(main, ["analyze", str(path)])
+            assert text.exit_code == 0
+            assert f"ghost group order: {1009 ** 1499}" in text.output
+
+    def test_genus_label_past_digit_bound(self, tmp_path):
+        path = vine_file(tmp_path, 5, (1, 1, 3))
+        data = json.loads(path.read_text())
+        data["vertices"][0]["genus"] = 100000
+        data["vertices"][1]["genus"] = 0
+        path.write_text(json.dumps(data))
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        # total genus 100002 (labels plus betti1 = 2): root_count = 5^200004
+        digits = math.floor(200004 * math.log10(5)) + 1
+        assert digits == 139797
+        assert (
+            f"digit bound MAX_DIGITS = {MAX_DIGITS} exceeded: "
+            f"root_count = 5^200004 has {digits} digits"
+        ) in result.output
+
+    def test_integer_past_parse_digit_limit_exit_code(self, tmp_path):
+        path = vine_file(tmp_path, 5, (1, 4))
+        text = path.read_text().replace('"genus": null', '"genus": ' + "9" * (MAX_DIGITS + 1), 1)
+        path.write_text(text.replace('"genus": null', '"genus": 0'))
+        result = CliRunner().invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
 
     def test_vine_at_largest_allowed_level(self, tmp_path):
         ms = (1, 2)
@@ -210,6 +276,13 @@ class TestClassify:
         assert result.exit_code == 4
         assert "bucketing bound" in result.output
 
+    def test_full_listing_snapshot(self):
+        result = CliRunner().invoke(
+            main, ["classify", "--ell", "5", "--all", "--snapshot", str(SNAPSHOTS)]
+        )
+        assert result.exit_code == 0
+        assert "ell5_kall_full.tsv" in result.output
+
     def test_snapshot_roundtrip(self, tmp_path):
         result = CliRunner().invoke(main, ["classify", "--ell", "3", "--k", "1"])
         ref = tmp_path / "ell3_k1.tsv"
@@ -232,6 +305,49 @@ class TestClassify:
             main, ["classify", "--ell", "3", "--k", "1", "--snapshot", str(tmp_path)]
         )
         assert result.exit_code == 3
+
+
+class TestLazyNumpy:
+    """numpy loads only inside classify's kernels; each check runs in a
+    fresh interpreter."""
+
+    BLOCK = "import sys; sys.modules['numpy'] = None\n"
+
+    def run(self, code):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_import_loads_no_numpy(self):
+        result = self.run(
+            "import sys, ghostgraph, ghostgraph.cli\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_analyze_without_numpy(self, tmp_path):
+        path = vine_file(tmp_path, 5, [1, 1, 3])
+        code = (
+            "from ghostgraph.cli import main\n"
+            f"main(['analyze', {str(path)!r}, '--json', '--k', '1'])\n"
+        )
+        plain, blocked = self.run(code), self.run(self.BLOCK + code)
+        assert plain.returncode == blocked.returncode == 0, blocked.stderr
+        assert blocked.stdout == plain.stdout
+        assert json.loads(blocked.stdout)["stratum_age"] == "4/5"
+
+    def test_classify_needs_numpy(self):
+        result = self.run(
+            self.BLOCK
+            + "from ghostgraph import classify_junior\n"
+            "try:\n"
+            "    classify_junior(3)\n"
+            "except ImportError:\n"
+            "    print('ImportError')\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "ImportError\n"
 
 
 class TestProps:

@@ -20,7 +20,7 @@ from ghostgraph import (
 )
 from ghostgraph.graphs import SizeBoundExceeded
 
-from oracles import brute_bridges, connected_multigraphs
+from oracles import brute_bridges, brute_key, connected_multigraphs
 
 
 def vine(n, v0=0, v1=1):
@@ -256,8 +256,15 @@ class TestCanonicalCode:
     def test_size_bound(self):
         n = 9
         g = Multigraph(range(n), [(i, (i + 1) % n) for i in range(n)])
-        with pytest.raises(SizeBoundExceeded):
+        with pytest.raises(SizeBoundExceeded, match="limited to 8 vertices, asked for 9"):
             canonical_code(g)
+
+    def test_partition_matches_brute_key(self):
+        # the oracle's permutation key and canonical_code group the labelled
+        # graphs (loops and bridges allowed) the same way
+        pairs = {(brute_key(g), canonical_code(g)) for g in connected_multigraphs(5, dedup=False)}
+        assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
+        assert len(pairs) == len(connected_multigraphs(5))
 
 
 class TestEnumerateBaseGraphs:
@@ -272,9 +279,9 @@ class TestEnumerateBaseGraphs:
 
     @pytest.mark.parametrize("max_edges", [4, 5])
     def test_matches_oracle(self, max_edges):
-        got = {canonical_code(g) for g in enumerate_base_graphs(max_edges)}
+        got = {brute_key(g) for g in enumerate_base_graphs(max_edges)}
         expected = {
-            canonical_code(g)
+            brute_key(g)
             for g in connected_multigraphs(max_edges)
             if g.n_vertices >= 2 and not g.loops() and not brute_bridges(g)
         }
