@@ -6,10 +6,11 @@ values summing to less than ell, so the junior witnesses a live in a small
 candidate set, and a is a witness for M exactly when a M = delta(phi) for
 a potential phi.  For every base graph the junior rows are generated from
 these (phi, a) pairs in one numpy pass over all decorations.  The junior
-rows are then grouped into classes by their canonical codes, also in numpy:
-each row's least encoding over the vertex orderings of ``canonical_code``
-gives the code bytes, and the multidegrees give the admissible k, so the
-Python work per class is building its objects.
+rows are then grouped into classes by their least encodings, which the
+library's one canonical encoder, ``graphs.least_encodings``, computes for
+all rows of a base graph in one call; ``decoration_code`` is its one-row
+call.  The multidegrees give the admissible k, so the Python work per
+class is building its objects.
 
 numpy is imported inside the kernels that use it, so importing the
 package, and analyzing one graph, never loads it.
@@ -33,9 +34,10 @@ from .ghosts import is_prime
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
-    _degree_orderings,
     canonical_code,
+    code_bytes,
     enumerate_base_graphs,
+    least_encodings,
     spanning_forest,
 )
 
@@ -62,9 +64,7 @@ class StratumClass:
 def decoration_code(d: DecoratedGraph) -> bytes:
     """Canonical code of a decorated graph: graph isomorphisms act on the
     decoration by pullback, dart reversal negates M."""
-    ell = d.ell
-    labels = {e: d.m_value(e) for e in d.graph.edge_ids}
-    return canonical_code(d.graph, labels=labels, reverse=lambda m: (-m) % ell)
+    return canonical_code(d.graph, {e: d.m_value(e) for e in d.graph.edge_ids}, d.ell)
 
 
 def vine_notation(d: DecoratedGraph) -> Optional[tuple[int, ...]]:
@@ -197,40 +197,6 @@ def classify_junior(
 BUCKET_BOUND = 20_000
 
 
-def _least_encodings(g: Multigraph, ell: int, rows: np.ndarray) -> np.ndarray:
-    """Each all-nonzero decoration row's least encoding over the vertex
-    orderings of ``canonical_code`` on the loopless graph g: its sorted
-    edge codes (a nV + b) ell + m, for the edge's positions a < b and m its
-    M value, or ell - M where the ordering reverses it.  Rows are
-    isomorphic exactly when their least encodings are equal."""
-    import numpy as np
-
-    assert not g.loops(), "base graphs are loopless"
-    n_v = g.n_vertices
-    at = np.arange(len(rows))
-    best = np.full(rows.shape, n_v * n_v * ell)  # above every edge code
-    for pos in _degree_orderings(g):
-        p = np.array([[pos[t], pos[h]] for t, h in g.edges.values()])
-        pair = (p.min(axis=1) * n_v + p.max(axis=1)) * ell
-        enc = np.sort(pair + np.where(p[:, 0] > p[:, 1], ell - rows, rows), axis=1)
-        # lexicographic comparison at each row's first differing column
-        col = (enc != best).argmax(axis=1)
-        less = enc[at, col] < best[at, col]
-        best[less] = enc[less]
-    return best
-
-
-def _code_bytes(g: Multigraph, ell: int, enc: np.ndarray) -> list[bytes]:
-    """``decoration_code`` of each least encoding row, decoded into Python
-    ints, whose repr is the scalar code's."""
-    import numpy as np
-
-    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
-    pair, m = np.divmod(enc, ell)
-    triples = np.stack([*np.divmod(pair, g.n_vertices), m], axis=-1).tolist()
-    return [repr((prefix, tuple(map(tuple, row)))).encode("ascii") for row in triples]
-
-
 def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozenset[int]]:
     """``admissible_k`` of each decoration row, one frozenset per pattern: k
     is admissible when gcd(2k, ell) divides dm - k (N - 2) at every vertex,
@@ -272,14 +238,14 @@ def _classify_cached(
                           scan.candidates[scan.witness_idx[idxs]], scan.maximal[idxs]))
     classes: list[StratumClass] = []
     for g, rows, age_num, witnesses, maximal in found:
-        enc = _least_encodings(g, ell, rows)
+        enc = least_encodings(g, rows, ell)
         # rows are in lexicographic order, so each class's first row is its
         # smallest decoration
         _, first, inverse, counts = np.unique(
             enc, axis=0, return_index=True, return_inverse=True, return_counts=True
         )
         assert (maximal == maximal[first][inverse.ravel()]).all(), "maximality must be orbit invariant"
-        codes = _code_bytes(g, ell, enc[first])
+        codes = code_bytes(g, enc[first], ell)
         k_sets = _admissible_sets(g, ell, rows[first])
         for i, code, k_set, orbit_size in zip(first.tolist(), codes, k_sets, counts.tolist()):
             rep = _decorated_from_vector(g, ell, rows[i])
@@ -358,10 +324,18 @@ def prop_k_symmetry(
     max_edges: Optional[int] = None,
     only_maximal: bool = False,
 ) -> bool:
-    """Check that the k classification is the M -> k M image of the k=1 one."""
+    """Check that the k classification is the M -> k M image of the k=1 one.
+    The scaled representatives of each base graph are coded in one call."""
     if not is_prime(ell) or k % ell == 0:
         raise DecorationError("needs prime level and k nonzero")
     base = classify_junior(ell, k=1, max_edges=max_edges, only_maximal=only_maximal)
     target = classify_junior(ell, k=k, max_edges=max_edges, only_maximal=only_maximal)
-    mapped = {decoration_code(c.decorated.scale(k)) for c in base}
+    scaled: dict[Multigraph, list[list[int]]] = {}
+    for c in base:
+        g = c.decorated.graph
+        scaled.setdefault(g, []).append([k * c.decorated.m_value(e) for e in g.edge_ids])
+    mapped = {
+        code for g, rows in scaled.items()
+        for code in code_bytes(g, least_encodings(g, rows, ell), ell)
+    }
     return mapped == {c.code for c in target}

@@ -4,6 +4,7 @@ that read off stack structure from the decoration."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -150,10 +151,9 @@ def _multidegree_table(d: DecoratedGraph) -> dict[int, tuple[int, int]]:
     return {v: (dm(v), d.graph.degree(v)) for v in d.graph.vertices}
 
 
-def _solvable(table, ell: int, k: int) -> bool:
+def _solvable(table, step: int, k: int) -> bool:
     """2k g = dm - k (N - 2) mod ell has a solution g at every vertex
-    exactly when gcd(2k, ell) divides each right side."""
-    step = math.gcd(2 * k, ell)
+    exactly when step = gcd(2k, ell) divides each right side."""
     return all((dm - k * (n_v - 2)) % step == 0 for dm, n_v in table.values())
 
 
@@ -169,11 +169,11 @@ def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
     ell = d.ell
     k = k % ell
     table = _multidegree_table(d)
-    if not _solvable(table, ell, k):
+    step = math.gcd(2 * k, ell)
+    if not _solvable(table, step, k):
         return None
     # 2k g = rhs mod ell  <=>  (2k/s) g = rhs/s mod n, with s = gcd(2k, ell)
     # and n = ell/s; the smallest nonnegative solution lies in [0, n)
-    step = math.gcd(2 * k, ell)
     n = ell // step
     inv = pow(2 * k // step, -1, n)
     genus = {}
@@ -188,9 +188,14 @@ def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
 
 def admissible_k(d: DecoratedGraph) -> frozenset[int]:
     """Every k in range(ell) for which genus_labeling(d, k) has a solution,
-    from one multidegree for all k."""
+    from one multidegree for all k.  Solvability depends on k only through
+    s = gcd(2k, ell) and k mod s, so the vertices are walked once per such
+    pair: twice at an odd prime level."""
     table = _multidegree_table(d)
-    return frozenset(k for k in range(d.ell) if _solvable(table, d.ell, k))
+    solvable = functools.cache(lambda step, r: _solvable(table, step, r))
+    return frozenset(
+        k for k in range(d.ell) if solvable(step := math.gcd(2 * k, d.ell), k % step)
+    )
 
 
 def total_genus(d: DecoratedGraph) -> int:
@@ -255,6 +260,8 @@ def parse_decorated(text: str) -> DecoratedGraph:
         raise DecorationError(f"invalid JSON at position {exc.pos}: {exc.msg}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
         raise DecorationError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack
+        raise DecorationError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise DecorationError("top-level JSON value must be an object")
     return decorated_from_dict(data)

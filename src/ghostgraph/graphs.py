@@ -4,13 +4,14 @@ Edges are stored as ``edge id -> (tail, head)``.  A dart (half-edge) is a
 pair ``(edge_id, side)`` where side 0 runs tail -> head and side 1 is the
 conjugate dart.  Contractions keep the surviving edge ids, so functions on
 the edges of a contraction are literally functions on a subset of the
-original edges.
+original edges.  Canonical codes are computed in numpy, imported by the
+encoder when it runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 Dart = tuple[int, int]
 
@@ -279,64 +280,77 @@ def is_tree_like(g: Multigraph) -> bool:
     return g.n_edges - len(g.loops()) == g.n_vertices - 1
 
 
-def _degree_orderings(
-    g: Multigraph, max_vertices: int = MAX_CODE_VERTICES
-) -> Iterator[dict[int, int]]:
-    """Every vertex ordering that lists the vertices by ascending degree, as
-    ``vertex -> position``.  The first one keeps each degree class in
-    vertex order.  There are prod(class size!) of them, so the vertex count
-    is bounded by ``max_vertices``."""
-    if g.n_vertices > max_vertices:
+def _degree_orderings(g: Multigraph) -> list[tuple[int, ...]]:
+    """Every ordering of the vertex indices by ascending degree, the first
+    keeping each degree class in vertex order.  There are prod(class size!)
+    of them, so the vertex count is bounded by ``MAX_CODE_VERTICES``."""
+    if g.n_vertices > MAX_CODE_VERTICES:
         raise SizeBoundExceeded(
-            f"canonical_code limited to {max_vertices} vertices, "
+            f"canonical_code limited to {MAX_CODE_VERTICES} vertices, "
             f"asked for {g.n_vertices}"
         )
     classes: dict[int, list[int]] = {}
-    for v in g.vertices:
-        classes.setdefault(g.degree(v), []).append(v)
+    for i, v in enumerate(g.vertices):
+        classes.setdefault(g.degree(v), []).append(i)
     parts = [itertools.permutations(classes[d]) for d in sorted(classes)]
-    return (
-        {v: i for i, v in enumerate(v for part in perm_parts for v in part)}
-        for perm_parts in itertools.product(*parts)
-    )
+    return [sum(perm_parts, ()) for perm_parts in itertools.product(*parts)]
+
+
+def least_encodings(g: Multigraph, rows, ell: int = 1):
+    """The least encoding of each row of edge labels over the degree
+    orderings, as an int array shaped like ``rows``.
+
+    A row labels the edges, in edge-id order, by residues mod ell read from
+    tail to head.  Under an ordering, an edge with ends at positions a <= b
+    is coded (a #V + b) ell + m, for m its label read from a to b: reversing
+    a dart negates the label, and a loop keeps the lesser of m and -m.  A
+    row's encoding is its sorted edge codes, so two labelled graphs are
+    isomorphic exactly when their least encodings are equal.
+    """
+    import numpy as np
+
+    n_v = g.n_vertices
+    position = np.argsort(_degree_orderings(g))  # row o: each vertex's position
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[t], index[h]) for t, h in g.edges.values()]
+    tails, heads = np.array(ends, int).reshape(-1, 2).T
+    fwd = np.asarray(rows, int) % ell
+    back = -fwd % ell
+    fwd = np.where(tails == heads, np.minimum(fwd, back), fwd)
+    # above every edge code; a level past int64 raises OverflowError here
+    best = np.full(fwd.shape, n_v * n_v * ell, dtype=int)
+    if not g.n_edges:  # a single vertex: every encoding is empty
+        return best
+    at = np.arange(len(fwd))
+    a, b = position[:, tails], position[:, heads]
+    for pair, flip in zip((np.minimum(a, b) * n_v + np.maximum(a, b)) * ell, a > b):
+        enc = np.sort(pair + np.where(flip, back, fwd), axis=1)
+        # lexicographic comparison at each row's first differing column
+        col = (enc != best).argmax(axis=1)
+        less = enc[at, col] < best[at, col]
+        best[less] = enc[less]
+    return best
+
+
+def code_bytes(g: Multigraph, enc, ell: int = 1) -> list[bytes]:
+    """The code of each least-encoding row: the repr of the sorted vertex
+    degrees and of the (a, b, m) triple of each edge code."""
+    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
+    triples = [
+        tuple((*divmod(c // ell, g.n_vertices), c % ell) for c in row) for row in enc.tolist()
+    ]
+    return [repr((prefix, t)).encode("ascii") for t in triples]
 
 
 def canonical_code(
-    g: Multigraph,
-    labels: Optional[Mapping[int, int]] = None,
-    reverse: Optional[Callable[[int], int]] = None,
-    max_vertices: int = MAX_CODE_VERTICES,
+    g: Multigraph, labels: Optional[Mapping[int, int]] = None, ell: int = 1
 ) -> bytes:
-    """Isomorphism-invariant code for a (labelled) multigraph.
-
-    Two labelled graphs get equal codes iff they are isomorphic, where an
-    isomorphism may reverse darts and labels transform by the ``reverse``
-    rule (default: unchanged).  Computed by minimizing an encoding over all
-    degree-respecting vertex orderings, so it is exact but exponential; the
-    vertex count is bounded by ``max_vertices``.
-    """
-    orderings = _degree_orderings(g, max_vertices)
-    if reverse is None:
-        reverse = lambda m: m
-    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
-    edge_items = list(g.edges.items())
-    best = None
-    for pos in orderings:
-        enc = []
-        for e, (t, h) in edge_items:
-            m = labels[e] if labels is not None else 0
-            pt, ph = pos[t], pos[h]
-            if pt < ph:
-                enc.append((pt, ph, m))
-            elif pt > ph:
-                enc.append((ph, pt, reverse(m)))
-            else:
-                enc.append((pt, pt, min(m, reverse(m))))
-        enc.sort()
-        cand = (prefix, tuple(enc))
-        if best is None or cand < best:
-            best = cand
-    return repr(best).encode("ascii")
+    """Isomorphism-invariant code of g with edge labels mod ell (all 0
+    without ``labels``), where an isomorphism may reverse darts and
+    reversing a dart negates its label: the one-row ``code_bytes``, for at
+    most ``MAX_CODE_VERTICES`` vertices."""
+    row = [labels[e] for e in g.edge_ids] if labels is not None else [0] * g.n_edges
+    return code_bytes(g, least_encodings(g, [row], ell), ell)[0]
 
 
 def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:

@@ -400,23 +400,23 @@ def prop_scan_ages(rng, n):
     return _run("scan_graph rows agree with minimal_age_report", rng, n, case)
 
 
-@_prop("classify", "numpy class codes equal decoration_code")
-def prop_class_codes(rng, n):
-    import numpy as np
-
-    from .classify import _code_bytes, _least_encodings, decoration_code
-
-    graphs = gr.enumerate_base_graphs(5)
+@_prop("classify", "decoration codes are invariant under relabeling and dart reversal")
+def prop_decoration_code_invariant(rng, n):
+    from .classify import decoration_code
 
     def case(rng):
-        ell, g = rng.choice([3, 5, 7]), rng.choice(graphs)
-        ds = [random_decorated(rng, g, ell, faithful=True) for _ in range(10)]
-        rows = np.array([[d.m_value(e) for e in g.edge_ids] for d in ds])
-        codes = _code_bytes(g, ell, _least_encodings(g, ell, rows))
-        bad = [d for d, code in zip(ds, codes) if code != decoration_code(d)]
-        return f"numpy code differs from decoration_code on {bad[0]}" if bad else None
+        d = random_decorated(rng, random_connected_multigraph(rng), rng.choice([2, 3, 5, 7]))
+        g = d.graph
+        perm = dict(zip(g.vertices, rng.sample(g.vertices, g.n_vertices)))
+        edges, vals = {}, {}
+        for e, (t, h) in g.edges.items():  # a reversed dart reads -M
+            flip = rng.random() < 0.5
+            edges[e] = (perm[h], perm[t]) if flip else (perm[t], perm[h])
+            vals[e] = -d.m_value(e) % d.ell if flip else d.m_value(e)
+        moved = dec.DecoratedGraph.from_edge_values(gr.Multigraph(g.vertices, edges), d.ell, vals)
+        return None if decoration_code(d) == decoration_code(moved) else f"{d} and {moved}"
 
-    return _run("numpy class codes equal decoration_code", rng, n, case)
+    return _run("decoration codes are invariant under relabeling and dart reversal", rng, n, case)
 
 
 SCOPES = tuple(_REGISTRY)

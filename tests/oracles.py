@@ -50,6 +50,20 @@ def brute_decoration_key(d: DecoratedGraph):
     return brute_key(d.graph, {e: d.m_value(e) for e in d.graph.edge_ids}, d.ell)
 
 
+def relabel(g: Multigraph, rows, ell: int, perm, flipped):
+    """g with each vertex v renamed perm[v] and the edges in ``flipped``
+    reversed, and the label rows (edge-id order) read on it: reversing an
+    edge negates its label mod ell.  The result is isomorphic to the input."""
+    edges = {
+        e: (perm[h], perm[t]) if e in flipped else (perm[t], perm[h])
+        for e, (t, h) in g.edges.items()
+    }
+    signs = [-1 if e in flipped else 1 for e in g.edge_ids]
+    return Multigraph(g.vertices, edges), [
+        [s * m % ell for s, m in zip(signs, row)] for row in rows
+    ]
+
+
 # ---------------------------------------------------------------------------
 # graph corpus
 

@@ -1,6 +1,7 @@
 """Junior-stratum classification: enumeration, codes, closure structure."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -27,12 +28,11 @@ from ghostgraph import (
 from ghostgraph.classify import (
     BUCKET_BOUND,
     _admissible_sets,
-    _code_bytes,
-    _least_encodings,
     decoration_code,
     scan_graph,
 )
 from ghostgraph.ghosts import age, is_supported
+from ghostgraph.graphs import code_bytes, least_encodings
 
 from oracles import (
     brute_decoration_key,
@@ -40,6 +40,7 @@ from oracles import (
     brute_junior_classes,
     brute_stratum_age,
     junior_decorations,
+    relabel,
 )
 
 
@@ -49,6 +50,20 @@ def vine(n):
 
 def dec(g, ell, values):
     return DecoratedGraph.from_edge_values(g, ell, values)
+
+
+def batch_codes(g, ell, rows):
+    """The decoration codes of the rows (M in edge-id order) of g, coded
+    in one batched call."""
+    return code_bytes(g, least_encodings(g, rows, ell), ell)
+
+
+def values_by_graph(decorations):
+    """graph -> the M rows (edge-id order) of the decorations on it."""
+    rows = {}
+    for d in decorations:
+        rows.setdefault(d.graph, []).append([d.m_value(e) for e in d.graph.edge_ids])
+    return rows
 
 
 class TestDecorationCode:
@@ -78,7 +93,7 @@ class TestVineNotation:
 
 def decoration_orbits(g, ell):
     """The all-nonzero decorations of g grouped into isomorphism classes by
-    the scalar ``decoration_code``: code -> the decorations of its orbit."""
+    one-row ``decoration_code`` calls: code -> the decorations of its orbit."""
     orbits = {}
     for values in itertools.product(range(1, ell), repeat=g.n_edges):
         d = dec(g, ell, dict(zip(g.edge_ids, values)))
@@ -94,7 +109,7 @@ def vine_orbit_notations(ell):
 
 
 class TestEnumerateDecorations:
-    """Decoration orbits enumerated by the scalar ``decoration_code``."""
+    """Decoration orbits enumerated by one-row ``decoration_code`` calls."""
 
     def test_ell3_vine(self):
         assert vine_orbit_notations(3) == [(1, 1), (1, 2)]
@@ -115,8 +130,9 @@ class TestEnumerateDecorations:
 
 
 class TestClassCodes:
-    """The numpy class codes and admissible k of every all-nonzero
-    decoration of small base graphs, against the scalar references."""
+    """The batched class codes and admissible k of every all-nonzero
+    decoration of small base graphs: a row's code does not depend on the
+    batch it is coded in, nor on the labelling of its graph."""
 
     @pytest.mark.parametrize(
         "ell,edge_counts",
@@ -124,17 +140,28 @@ class TestClassCodes:
         ids=["ell3", "ell5", "ell7"],
     )
     def test_match_decoration_code_and_admissible_k(self, ell, edge_counts):
+        rng = random.Random(ell)
         graphs = [g for g in enumerate_base_graphs(max(edge_counts))
                   if g.n_edges in edge_counts]
         assert graphs
         for g in graphs:
             rows = np.array(list(itertools.product(range(1, ell), repeat=g.n_edges)))
-            codes = _code_bytes(g, ell, _least_encodings(g, ell, rows))
+            codes = batch_codes(g, ell, rows)
+            # the same rows coded in five batches, and a sample of one-row calls
+            chunks = [batch_codes(g, ell, part) for part in np.array_split(rows, 5)]
+            assert list(itertools.chain.from_iterable(chunks)) == codes
+            for i in range(0, len(rows), 53):
+                d = dec(g, ell, dict(zip(g.edge_ids, rows[i].tolist())))
+                assert decoration_code(d) == codes[i], (g, rows[i])
+            # every row moved by one vertex permutation and random dart reversals
+            perm = dict(zip(g.vertices, rng.sample(g.vertices, g.n_vertices)))
+            flipped = {e for e in g.edge_ids if rng.random() < 0.5}
+            h, moved = relabel(g, rows.tolist(), ell, perm, flipped)
+            assert batch_codes(h, ell, moved) == codes, (g, perm, flipped)
             k_sets = _admissible_sets(g, ell, rows)
-            assert len(codes) == len(k_sets) == len(rows)
-            for row, code, k_set in zip(rows.tolist(), codes, k_sets):
+            assert len(k_sets) == len(rows)
+            for row, k_set in zip(rows.tolist(), k_sets):
                 d = dec(g, ell, dict(zip(g.edge_ids, row)))
-                assert code == decoration_code(d), (g, row)
                 assert k_set == admissible_k(d), (g, row)
 
 
@@ -238,12 +265,11 @@ class TestClassifyJunior:
         assert got == expected
 
     def test_brute_key_partition_matches_decoration_code(self):
-        # the oracle's permutation key and the library's code group the
-        # labelled junior decorations the same way
-        pairs = {
-            (brute_decoration_key(d), decoration_code(d))
-            for d, _, _ in junior_decorations(5, 4)
-        }
+        # the oracle's permutation key and the library's code, one batched
+        # call per labelled graph, group the junior decorations the same way
+        ds = [d for d, _, _ in junior_decorations(5, 4)]
+        codes = {g: iter(batch_codes(g, 5, rows)) for g, rows in values_by_graph(ds).items()}
+        pairs = {(brute_decoration_key(d), next(codes[d.graph])) for d in ds}
         assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs}) == 179
 
     def test_no_junior_class_at_ell_edges(self):
@@ -260,16 +286,17 @@ class TestClassifyJunior:
     @pytest.mark.parametrize("ell,max_edges", [(5, None), (7, 4)])
     def test_class_invariants_match_scalar_reference(self, ell, max_edges):
         """Orbit size, representative and admissible k of every class,
-        against all (ell - 1)^E decorations of its base graph."""
+        against all (ell - 1)^E decorations of its base graph coded in one
+        batch and the scalar genus_labeling."""
         classes = classify_junior(ell, max_edges=max_edges, only_maximal=False)
         by_graph = {}
         for c in classes:
             by_graph.setdefault(c.decorated.graph, []).append(c)
         for g, graph_classes in by_graph.items():
             orbits = {}
-            for values in itertools.product(range(1, ell), repeat=g.n_edges):
-                d = dec(g, ell, dict(zip(g.edge_ids, values)))
-                orbits.setdefault(decoration_code(d), []).append(values)
+            rows = list(itertools.product(range(1, ell), repeat=g.n_edges))
+            for values, code in zip(rows, batch_codes(g, ell, rows)):
+                orbits.setdefault(code, []).append(values)
             for c in graph_classes:
                 members = orbits[c.code]
                 rep = tuple(c.decorated.m_value(e) for e in g.edge_ids)
@@ -280,13 +307,18 @@ class TestClassifyJunior:
                 }
 
     def test_listing_matches_scalar_reference(self):
-        """Every ell = 7 class up to 5 edges carries the scalar code and
-        admissible k, and its orbits cover the junior rows of its graph."""
+        """Every ell = 7 class up to 5 edges carries the code of its
+        representative coded apart from the other junior rows, and the
+        scalar admissible k, and its orbits cover the junior rows of its
+        graph."""
+        classes = classify_junior(7, max_edges=5)
         covered = Counter()
-        for c in classify_junior(7, max_edges=5):
-            assert c.code == decoration_code(c.decorated)
+        for c in classes:
             assert c.admissible_k == admissible_k(c.decorated)
             covered[c.decorated.graph] += c.orbit_size
+        codes = {g: iter(batch_codes(g, 7, rows))
+                 for g, rows in values_by_graph(c.decorated for c in classes).items()}
+        assert [c.code for c in classes] == [next(codes[c.decorated.graph]) for c in classes]
         junior = {g: int(scan_graph(g, 7).junior.sum()) for g in enumerate_base_graphs(5)}
         assert covered == {g: n for g, n in junior.items() if n}
 

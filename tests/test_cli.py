@@ -108,6 +108,14 @@ class TestAnalyze:
         result = CliRunner().invoke(main, ["analyze", str(path)])
         assert result.exit_code == 3
 
+    def test_deeply_nested_input_exit_code(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        result = CliRunner().invoke(main, ["analyze", str(path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "nested too deeply" in result.output
+
     def test_vine_at_level_1009(self, tmp_path):
         ms = (1, 10, 100, 1000)
         path = vine_file(tmp_path, 1009, ms)
@@ -182,6 +190,17 @@ class TestAnalyze:
         # the multidegree is -3, 3: at an odd prime level every k != 0 has
         # 2k invertible, and k = 0 would need a zero multidegree
         assert report["admissible_k"] == list(range(1, MAX_LEVEL))
+
+    def test_long_path_at_largest_allowed_level(self, tmp_path):
+        # M = 1 on a 900-vertex path: the end multidegrees are -1 and 1, so
+        # again every k but 0 is admissible
+        path = path_file(tmp_path, MAX_LEVEL, 900)
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert result.exit_code == 0
+        with _int_digits(MAX_DIGITS):
+            report = json.loads(result.output)
+        assert report["admissible_k"] == list(range(1, MAX_LEVEL))
+        assert report["ghost_group_order"] == MAX_LEVEL ** 899
 
     @pytest.mark.parametrize("ell", [2, 5, 6, 7, 12])
     def test_admissible_k_matches_genus_labeling(self, ell):

@@ -18,7 +18,7 @@ from ghostgraph import (
     separating_edges,
     spanning_tree,
 )
-from ghostgraph.graphs import SizeBoundExceeded
+from ghostgraph.graphs import SizeBoundExceeded, code_bytes, least_encodings
 
 from oracles import brute_bridges, brute_key, connected_multigraphs
 
@@ -228,16 +228,14 @@ class TestTreeLike:
 class TestCanonicalCode:
     def test_labelled_vine_swap(self):
         g = vine(2)
-        neg = lambda m: (-m) % 5
-        c1 = canonical_code(g, labels={0: 1, 1: 2}, reverse=neg)
-        c2 = canonical_code(g, labels={0: 2, 1: 1}, reverse=neg)
+        c1 = canonical_code(g, labels={0: 1, 1: 2}, ell=5)
+        c2 = canonical_code(g, labels={0: 2, 1: 1}, ell=5)
         assert c1 == c2
 
     def test_labelled_vine_distinct(self):
         g = vine(2)
-        neg = lambda m: (-m) % 5
-        c1 = canonical_code(g, labels={0: 1, 1: 1}, reverse=neg)
-        c2 = canonical_code(g, labels={0: 1, 1: 4}, reverse=neg)
+        c1 = canonical_code(g, labels={0: 1, 1: 1}, ell=5)
+        c2 = canonical_code(g, labels={0: 1, 1: 4}, ell=5)
         assert c1 != c2
 
     def test_self_equal_under_relabeling(self):
@@ -248,10 +246,18 @@ class TestCanonicalCode:
     def test_distinguishes_orientation_classes(self):
         # directed labels around a triangle vs one edge flipped
         g = triangle()
-        neg = lambda m: (-m) % 5
-        aligned = canonical_code(g, labels={0: 1, 1: 1, 2: 1}, reverse=neg)
-        flipped = canonical_code(g, labels={0: 1, 1: 1, 2: 4}, reverse=neg)
+        aligned = canonical_code(g, labels={0: 1, 1: 1, 2: 1}, ell=5)
+        flipped = canonical_code(g, labels={0: 1, 1: 1, 2: 4}, ell=5)
         assert aligned != flipped
+
+    def test_loop_label_up_to_sign(self):
+        g = Multigraph([0, 1], [(0, 1), (1, 1)])
+        assert canonical_code(g, {0: 2, 1: 1}, ell=5) == canonical_code(g, {0: 2, 1: 4}, ell=5)
+        assert canonical_code(g, {0: 2, 1: 1}, ell=5) != canonical_code(g, {0: 2, 1: 2}, ell=5)
+
+    def test_single_vertex(self):
+        assert canonical_code(Multigraph([4], [])) == b"((0,), ())"
+        assert canonical_code(Multigraph([4], [(4, 4)])) == b"((2,), ((0, 0, 0),))"
 
     def test_size_bound(self):
         n = 9
@@ -265,6 +271,18 @@ class TestCanonicalCode:
         pairs = {(brute_key(g), canonical_code(g)) for g in connected_multigraphs(5, dedup=False)}
         assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
         assert len(pairs) == len(connected_multigraphs(5))
+
+    @pytest.mark.parametrize("ell", [2, 3])
+    def test_labelled_partition_matches_brute_key(self, ell):
+        # every labelling mod ell, zeros included, of every labelled graph
+        # with at most 3 edges (loops allowed), coded in one batch per graph
+        pairs = set()
+        for g in connected_multigraphs(3, dedup=False):
+            rows = list(itertools.product(range(ell), repeat=g.n_edges))
+            codes = code_bytes(g, least_encodings(g, rows, ell), ell)
+            for row, code in zip(rows, codes):
+                pairs.add((brute_key(g, dict(zip(g.edge_ids, row)), ell), code))
+        assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
 
 
 class TestEnumerateBaseGraphs:

@@ -28,8 +28,9 @@ from ghostgraph import (
     solve_delta,
     spanning_tree,
 )
+from ghostgraph.classify import decoration_code
 
-from oracles import brute_bridges, brute_in_image_delta
+from oracles import brute_bridges, brute_in_image_delta, relabel
 
 
 @st.composite
@@ -123,6 +124,18 @@ def test_canonical_code_invariant(g, perm):
         {e: (mapping[t], mapping[hd]) for e, (t, hd) in g.edges.items()},
     )
     assert canonical_code(g) == canonical_code(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(decorated_graphs(faithful=False), st.data())
+def test_decoration_code_invariant(d, data):
+    # loops and zero values included; a reversed dart reads -M
+    g = d.graph
+    perm = dict(zip(g.vertices, data.draw(st.permutations(g.vertices))))
+    flipped = data.draw(st.sets(st.sampled_from(g.edge_ids)))
+    h, (row,) = relabel(g, [[d.m_value(e) for e in g.edge_ids]], d.ell, perm, flipped)
+    moved = DecoratedGraph.from_edge_values(h, d.ell, dict(zip(h.edge_ids, row)))
+    assert decoration_code(moved) == decoration_code(d)
 
 
 @settings(max_examples=40, deadline=None)
