@@ -34,7 +34,6 @@ from .decorated import (
 from .ghosts import (
     INFINITE_AGE,
     alpha_beta,
-    generated_by_qr,
     is_prime,
     stratum_age,
     vine_witness,
@@ -137,7 +136,9 @@ def build_report(d, k: Optional[int]) -> dict:
             "tree_like": is_tree_like(g0),
         },
         "per_prime": per_prime,
-        "generated_by_quasireflections": generated_by_qr(d0 if prime else d),
+        "generated_by_quasireflections": all(
+            info["tree_like"] for info in per_prime.values()
+        ),
         "codimension": g0.n_edges,
         "multidegree": {str(v): dm(v) for v in d.graph.vertices},
     }

@@ -2,13 +2,14 @@
 
 ZeroCochain: functions on vertices.  OneCochain: antisymmetric functions on
 darts, b(conj e) = -b(e).  EvenFunction: symmetric functions on darts.
-Values are stored once per edge, on the tail -> head dart; antisymmetry and
-evenness are structural.
+All three share one class body, _Cochain: a dict of values on the domain.
+Dart functions store one value per edge, on the tail -> head dart;
+antisymmetry and evenness are structural.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .graphs import (
     Dart,
@@ -33,8 +34,9 @@ def _check_ell(ell: int) -> int:
     return ell
 
 
-class ZeroCochain:
-    """Z/ell valued function on the vertices."""
+class _Cochain:
+    """Z/ell values on a domain of the graph.  A subclass gives the domain,
+    ``_domain(graph)``, and its element's name, singular and plural."""
 
     __slots__ = ("graph", "ell", "_values")
 
@@ -42,72 +44,78 @@ class ZeroCochain:
         self.graph = graph
         self.ell = _check_ell(ell)
         vals = {}
-        for v in graph.vertices:
-            if v not in values:
-                raise CochainError(f"missing value at vertex {v}")
-            vals[v] = values[v] % self.ell
+        for x in self._domain(graph):
+            if x not in values:
+                raise CochainError(f"missing value at {self._names[0]} {x}")
+            vals[x] = values[x] % self.ell
         if len(values) != len(vals):
-            raise CochainError("values on unknown vertices")
+            raise CochainError(f"values on unknown {self._names[1]}")
         self._values = vals
-
-    def __call__(self, v: int) -> int:
-        return self._values[v]
 
     def as_dict(self) -> dict[int, int]:
         return dict(self._values)
 
+    def support(self) -> frozenset[int]:
+        return frozenset(x for x, m in self._values.items() if m != 0)
+
     def is_zero(self) -> bool:
         return not any(self._values.values())
 
-    def __add__(self, other: "ZeroCochain") -> "ZeroCochain":
-        return ZeroCochain(
-            self.graph,
-            self.ell,
-            {v: self._values[v] + other._values[v] for v in self.graph.vertices},
+    def __add__(self, other):
+        return type(self)(
+            self.graph, self.ell, {x: m + other._values[x] for x, m in self._values.items()}
         )
 
-    def __neg__(self) -> "ZeroCochain":
-        return ZeroCochain(
-            self.graph, self.ell, {v: -m for v, m in self._values.items()}
-        )
+    def __neg__(self):
+        return self.scale(-1)
 
-    def __sub__(self, other: "ZeroCochain") -> "ZeroCochain":
+    def __sub__(self, other):
         return self + (-other)
+
+    def scale(self, c: int):
+        return type(self)(self.graph, self.ell, {x: c * m for x, m in self._values.items()})
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, ZeroCochain)
+            type(self) is type(other)
             and self.ell == other.ell
             and self.graph == other.graph
             and self._values == other._values
         )
 
     def __hash__(self) -> int:
-        return hash((self.ell, tuple(sorted(self._values.items()))))
+        return hash((type(self).__name__, self.ell, tuple(sorted(self._values.items()))))
 
     def __repr__(self) -> str:
-        return f"ZeroCochain(ell={self.ell}, {self._values})"
+        return f"{type(self).__name__}(ell={self.ell}, {self._values})"
 
 
-class _EdgeFunction:
-    """Shared storage for dart functions: one value per edge, forward dart."""
+class ZeroCochain(_Cochain):
+    """Z/ell valued function on the vertices."""
 
-    __slots__ = ("graph", "ell", "_fwd")
+    __slots__ = ()
+    _names = ("vertex", "vertices")
+
+    @staticmethod
+    def _domain(graph: Multigraph) -> tuple[int, ...]:
+        return graph.vertices
+
+    def __call__(self, v: int) -> int:
+        return self._values[v]
+
+
+class _EdgeFunction(_Cochain):
+    """Dart functions: one value per edge, on the forward dart."""
+
+    __slots__ = ()
+    _names = ("edge", "edges")
 
     #: multiplier applied when a dart is reversed (-1 odd, +1 even)
     SIGN = -1
 
-    def __init__(self, graph: Multigraph, ell: int, edge_values: Mapping[int, int]):
-        self.graph = graph
-        self.ell = _check_ell(ell)
-        vals = {}
-        for e in graph.edge_ids:
-            if e not in edge_values:
-                raise CochainError(f"missing value at edge {e}")
-            vals[e] = edge_values[e] % self.ell
-        if len(edge_values) != len(vals):
-            raise CochainError("values on unknown edges")
-        self._fwd = vals
+    @staticmethod
+    def _domain(graph: Multigraph) -> tuple[int, ...]:
+        return graph.edge_ids
 
     @classmethod
     def from_dart_values(cls, graph: Multigraph, ell: int, dart_values: Mapping[Dart, int]):
@@ -126,52 +134,12 @@ class _EdgeFunction:
 
     def on_edge(self, e: int) -> int:
         """Value on the tail -> head dart of e."""
-        return self._fwd[e]
+        return self._values[e]
 
     def on_dart(self, d: Dart) -> int:
         e, s = d
-        v = self._fwd[e]
+        v = self._values[e]
         return v if s == 0 else (self.SIGN * v) % self.ell
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._fwd)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(e for e, m in self._fwd.items() if m != 0)
-
-    def is_zero(self) -> bool:
-        return not self.support()
-
-    def __add__(self, other):
-        return type(self)(
-            self.graph,
-            self.ell,
-            {e: self._fwd[e] + other._fwd[e] for e in self._fwd},
-        )
-
-    def __neg__(self):
-        return type(self)(self.graph, self.ell, {e: -m for e, m in self._fwd.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: int):
-        return type(self)(self.graph, self.ell, {e: c * m for e, m in self._fwd.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, type(self))
-            and type(self) is type(other)
-            and self.ell == other.ell
-            and self.graph == other.graph
-            and self._fwd == other._fwd
-        )
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.ell, tuple(sorted(self._fwd.items()))))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(ell={self.ell}, {self._fwd})"
 
 
 class OneCochain(_EdgeFunction):
@@ -230,11 +198,7 @@ def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
 def _cut(g: Multigraph, tset: frozenset[int], e: int, ell: int) -> OneCochain:
     _, component = spanning_forest(g, tset - {e})
     head_side = component[g.ends(e)[1]]
-    vals = {
-        f: (component[b] == head_side) - (component[a] == head_side)
-        for f, (a, b) in g.edges.items()
-    }
-    return OneCochain(g, ell, vals)
+    return delta(ZeroCochain(g, ell, {v: int(c == head_side) for v, c in component.items()}))
 
 
 def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:

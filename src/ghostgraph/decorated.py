@@ -43,17 +43,6 @@ def prime_factors(ell: int) -> dict[int, int]:
     return out
 
 
-def val_p(n: int, p: int) -> float:
-    """p-adic valuation of the representative n; val_p(0) is +infinity."""
-    if n == 0:
-        return float("inf")
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
 @dataclass(frozen=True)
 class DecoratedGraph:
     graph: Multigraph
@@ -124,7 +113,7 @@ def gamma_nu(d: DecoratedGraph, p: int, k: int) -> Multigraph:
         raise DecorationError(f"{p} does not divide the level {d.ell}")
     if not 1 <= k <= fac[p]:
         raise DecorationError(f"k must lie in 1..{fac[p]}")
-    f = [e for e in d.graph.edge_ids if val_p(d.m_value(e), p) >= k]
+    f = [e for e in d.graph.edge_ids if d.m_value(e) % p**k == 0]
     return contract_edges(d.graph, f).graph
 
 

@@ -175,6 +175,12 @@ def minimal_age_report(
     ell = core.ell
     if g.n_vertices == 1:
         return None
+    # the first descent is never pruned and visits ell per vertex
+    if ell * (g.n_vertices - 1) > max_elements:
+        raise SizeBoundExceeded(
+            f"age search exceeds its bound of {max_elements} partial potentials: "
+            f"its first descent visits ell * (#V - 1) = {ell * (g.n_vertices - 1)}"
+        )
     order = [g.vertices[0]]
     seen = set(order)
     for v in order:
@@ -201,7 +207,8 @@ def minimal_age_report(
         visited += ell
         if visited > max_elements:
             raise SizeBoundExceeded(
-                f"age search exceeds its bound of {max_elements} partial potentials"
+                f"age search exceeds its bound of {max_elements} partial potentials: "
+                f"{visited} visited"
             )
         rows = [row[ell - phi[j] : 2 * ell - phi[j]] for j, row in closing[i].items()]
         costs = [sum(c) for c in zip(*rows)]
@@ -236,14 +243,9 @@ def is_junior(d: DecoratedGraph, max_elements: int = EXPANSION_BOUND) -> bool:
 
 
 def generated_by_qr(d: DecoratedGraph) -> bool:
-    """True iff every ghost is a product of quasireflections.
-
-    Prime level: the faithful graph is tree-like.  Composite level: the
-    graph Gamma_p is tree-like for every prime divisor p.
-    """
-    if is_prime(d.ell):
-        d0 = gamma0(d)
-        return is_tree_like(d0.graph)
+    """True iff every ghost is a product of quasireflections: the graph
+    Gamma_p is tree-like for every prime divisor p of the level.  At a prime
+    level Gamma_ell is the faithful graph."""
     return all(is_tree_like(gamma_p(d, p)) for p in prime_factors(d.ell))
 
 

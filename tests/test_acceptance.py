@@ -353,7 +353,7 @@ class TestCriterion7CompositeLevels:
             ok = ok and set(non_loop) == brute_bridges(gp)
         return ok
 
-    @pytest.mark.parametrize("ell,max_edges", [(4, 4), (6, 3), (12, 3)])
+    @pytest.mark.parametrize("ell,max_edges", [(3, 4), (5, 3), (4, 4), (6, 3), (12, 3)])
     def test_three_characterizations_agree(self, ell, max_edges):
         from ghostgraph import generated_by_qr
 

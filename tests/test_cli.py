@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from ghostgraph import DecoratedGraph, Multigraph, genus_labeling, ghost_group, qr_subgroup
+from ghostgraph import props as props_mod
 from ghostgraph.cli import MAX_DIGITS, _int_digits, build_report, main
 from ghostgraph.decorated import MAX_LEVEL
 
@@ -170,6 +172,25 @@ class TestAnalyze:
             f"digit bound MAX_DIGITS = {MAX_DIGITS} exceeded: "
             f"root_count = 5^200004 has {digits} digits"
         ) in result.output
+
+    def test_age_search_bound_checked_first(self, tmp_path):
+        # a 120-vertex all-ones cycle is its own reduced core: the age
+        # search's first descent alone visits 100003 * 119 partial potentials
+        n = 120
+        data = {
+            "ell": 100003,
+            "vertices": [{"id": i, "genus": None} for i in range(n)],
+            "edges": [{"tail": i, "head": (i + 1) % n, "m": 1} for i in range(n)],
+        }
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "bound of 10000000 partial potentials" in result.output
+        assert f"= {100003 * 119}" in result.output
 
     def test_integer_past_parse_digit_limit_exit_code(self, tmp_path):
         path = vine_file(tmp_path, 5, (1, 4))
@@ -370,13 +391,24 @@ class TestLazyNumpy:
 
 
 class TestProps:
-    def test_scoped_run(self):
+    @pytest.mark.parametrize("scope", props_mod.SCOPES)
+    def test_scoped_run(self, scope):
         result = CliRunner().invoke(
-            main, ["props", "--scope", "cochain", "--cases", "10", "--seed", "1"]
+            main, ["props", "--scope", scope, "--cases", "10", "--seed", "1"]
         )
         assert result.exit_code == 0
-        assert "[cochain]" in result.output
+        assert f"[{scope}]" in result.output
         assert "FAIL" not in result.output
+
+    def test_failing_property(self, monkeypatch):
+        def always_fails(rng, n):
+            return props_mod._run("always fails", rng, n, lambda rng: "no luck")
+
+        monkeypatch.setitem(props_mod._REGISTRY, "graph", [("always fails", always_fails)])
+        result = CliRunner().invoke(main, ["props", "--scope", "graph", "--cases", "3"])
+        assert result.exit_code == 1
+        assert "[graph] always fails: 3 cases FAIL" in result.output
+        assert "case 0: no luck" in result.output
 
     def test_seed_reproducible(self):
         args = ["props", "--scope", "graph", "--cases", "10", "--seed", "7"]

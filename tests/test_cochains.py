@@ -67,6 +67,55 @@ class TestConstruction:
             OneCochain(vine(2), 5, {0: 1, 1: 1, 7: 1})
 
 
+def on_domain(cls, values, ell=7):
+    """A cochain of class cls on a triangle with a doubled side: the four
+    values go to the edges in order, or their first three to the vertices."""
+    g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (1, 2)])
+    domain = g.vertices if cls is ZeroCochain else g.edge_ids
+    return cls(g, ell, dict(zip(domain, values)))
+
+
+@pytest.mark.parametrize("cls", [ZeroCochain, OneCochain, EvenFunction])
+class TestSharedAlgebra:
+    """The one class body behind vertex functions and dart functions."""
+
+    def test_negation_and_difference(self, cls):
+        a, b = on_domain(cls, [1, 5, 2, 3]), on_domain(cls, [4, 0, 6, 6])
+        assert (a + (-a)).is_zero()
+        assert a - b == a + (-b) == on_domain(cls, [4, 5, 3, 4])
+
+    def test_scale(self, cls):
+        a = on_domain(cls, [1, 5, 2, 3])
+        assert a.scale(3) == on_domain(cls, [3, 1, 6, 2])
+        assert a.scale(-1) == -a
+        assert a.scale(7).is_zero()
+        assert on_domain(cls, [0, 5, 0, 0]).support() == frozenset({1})
+
+    def test_equal_values_equal_objects(self, cls):
+        a, b = on_domain(cls, [1, 5, 2, 3]), on_domain(cls, [8, -2, 2, 10])
+        assert a == b and hash(a) == hash(b)
+        assert a != on_domain(cls, [2, 5, 2, 3])
+        assert a != on_domain(cls, [1, 5, 2, 3], ell=11)
+
+    def test_classes_unequal(self, cls):
+        for other in (ZeroCochain, OneCochain, EvenFunction):
+            if other is not cls:
+                assert on_domain(cls, [1, 5, 2, 3]) != on_domain(other, [1, 5, 2, 3])
+
+    def test_repr_names_class(self, cls):
+        assert repr(on_domain(cls, [1, 0, 0, 0])).startswith(f"{cls.__name__}(ell=7, ")
+
+    def test_error_messages(self, cls):
+        kind, kinds = ("vertex", "vertices") if cls is ZeroCochain else ("edge", "edges")
+        a = on_domain(cls, [1, 1, 1, 1])
+        values = a.as_dict()
+        del values[2]
+        with pytest.raises(CochainError, match=f"^missing value at {kind} 2$"):
+            cls(a.graph, 7, values)
+        with pytest.raises(CochainError, match=f"^values on unknown {kinds}$"):
+            cls(a.graph, 7, {**a.as_dict(), 9: 1})
+
+
 class TestDelta:
     def test_constant_maps_to_zero(self):
         g = theta()
