@@ -6,11 +6,15 @@ values summing to less than ell, so the junior witnesses a live in a small
 candidate set, and a is a witness for M exactly when a M = delta(phi) for
 a potential phi.  For every base graph the junior rows are generated from
 these (phi, a) pairs in one numpy pass over all decorations.  The junior
-rows are then grouped into classes by their least encodings, which the
-library's one canonical encoder, ``graphs.least_encodings``, computes for
-all rows of a base graph in one call; ``decoration_code`` is its one-row
-call.  The multidegrees give the admissible k, so the Python work per
-class is building its objects.
+rows are then grouped into classes by the library's one canonical
+encoder, ``graphs.least_encodings``, in one call per base graph over only
+the orderings that give the unlabelled graph its least encoding: a coset
+of its automorphisms, so the least encoding over it is a complete
+invariant.  ``np.unique`` compares the encodings as byte strings, and
+only each class's first row is coded over every ordering, which gives
+the class code; ``decoration_code`` is the one-row call.  The
+multidegrees give the admissible k, so the Python work per class is
+building its objects.
 
 numpy is imported inside the kernels that use it, so importing the
 package, and analyzing one graph, never loads it.
@@ -34,6 +38,7 @@ from .ghosts import is_prime
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
+    _minimal_orderings,
     canonical_code,
     code_bytes,
     enumerate_base_graphs,
@@ -197,6 +202,15 @@ def classify_junior(
 BUCKET_BOUND = 20_000
 
 
+def _byte_rows(a):
+    """Each row of the 2-D array a as one np.void scalar, so that
+    np.unique groups rows by comparing their bytes."""
+    import numpy as np
+
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
 def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozenset[int]]:
     """``admissible_k`` of each decoration row, one frozenset per pattern: k
     is admissible when gcd(2k, ell) divides dm - k (N - 2) at every vertex,
@@ -209,8 +223,8 @@ def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozense
     ks = np.arange(ell)[:, None]
     rhs = dm[:, None, :] - ks * (np.array([g.degree(v) for v in g.vertices]) - 2)
     ok = (rhs % np.gcd(2 * ks, ell) == 0).all(axis=2)
-    patterns, inverse = np.unique(ok, axis=0, return_inverse=True)
-    sets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns]
+    patterns, inverse = np.unique(_byte_rows(ok), return_inverse=True)
+    sets = [frozenset(np.flatnonzero(p).tolist()) for p in patterns.view(bool).reshape(-1, ell)]
     return [sets[i] for i in inverse.ravel().tolist()]
 
 
@@ -238,14 +252,15 @@ def _classify_cached(
                           scan.candidates[scan.witness_idx[idxs]], scan.maximal[idxs]))
     classes: list[StratumClass] = []
     for g, rows, age_num, witnesses, maximal in found:
-        enc = least_encodings(g, rows, ell)
-        # rows are in lexicographic order, so each class's first row is its
-        # smallest decoration
+        # group by the least encoding over the automorphism-minimal
+        # orderings, a complete invariant; rows are in lexicographic order,
+        # so each class's first row is its smallest decoration
+        enc = least_encodings(g, rows, ell, _orderings=_minimal_orderings(g))
         _, first, inverse, counts = np.unique(
-            enc, axis=0, return_index=True, return_inverse=True, return_counts=True
+            _byte_rows(enc), return_index=True, return_inverse=True, return_counts=True
         )
-        assert (maximal == maximal[first][inverse.ravel()]).all(), "maximality must be orbit invariant"
-        codes = code_bytes(g, enc[first], ell)
+        assert (maximal == maximal[first][inverse]).all(), "maximality must be orbit invariant"
+        codes = code_bytes(g, least_encodings(g, rows[first], ell), ell)
         k_sets = _admissible_sets(g, ell, rows[first])
         for i, code, k_set, orbit_size in zip(first.tolist(), codes, k_sets, counts.tolist()):
             rep = _decorated_from_vector(g, ell, rows[i])
@@ -269,17 +284,29 @@ def _classify_cached(
 
 
 def contracts_to(d0: DecoratedGraph, d1: DecoratedGraph) -> bool:
-    """True iff some edge-subset contraction of d0 is isomorphic to d1."""
+    """True iff some edge-subset contraction of d0 is isomorphic to d1.
+
+    Only a contraction that shares the target's invariants is coded: its
+    sorted degrees (the prefix of the code) and its sorted values
+    min(M, -M), which reversing a dart keeps."""
     if d0.ell != d1.ell:
         return False
-    target = decoration_code(d1)
     e0 = d0.graph.n_edges
     e1 = d1.graph.n_edges
     if e1 > e0:
         return False
-    edge_ids = d0.graph.edge_ids
-    for f in itertools.combinations(edge_ids, e0 - e1):
+
+    def invariants(d: DecoratedGraph):
+        g = d.graph
+        values = (d.m_value(e) for e in g.edge_ids)
+        return sorted(map(g.degree, g.vertices)), sorted(min(m, d.ell - m) for m in values)
+
+    target_invariants, target = invariants(d1), None
+    for f in itertools.combinations(d0.graph.edge_ids, e0 - e1):
         contracted = contract_decorated(d0, f)
+        if invariants(contracted) != target_invariants:
+            continue
+        target = target or decoration_code(d1)
         if decoration_code(contracted) == target:
             return True
     return False

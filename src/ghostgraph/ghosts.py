@@ -167,7 +167,9 @@ def minimal_age_report(
     take values in BFS order, so each closes an edge to an earlier one;
     rep(a(e)) is added as each edge closes, and a branch is pruned once its
     partial sum reaches the best found.  max_elements bounds the partial
-    potentials visited, ell per assigned vertex; past it SizeBoundExceeded.
+    potentials visited, ell per assigned vertex, and the entries of the
+    cost table, 2 ell per adjacent vertex pair; past it SizeBoundExceeded,
+    the table checked before it is built.
     """
     _require_prime(d.ell)
     core = reduced_core(d)
@@ -181,6 +183,16 @@ def minimal_age_report(
             f"age search exceeds its bound of {max_elements} partial potentials: "
             f"its first descent visits ell * (#V - 1) = {ell * (g.n_vertices - 1)}"
         )
+    # the cost table below holds 2 ell entries per adjacent vertex pair, and
+    # there are at most #E pairs: count them only when #E could pass the bound
+    if 2 * ell * g.n_edges > max_elements:
+        adjacent = len({frozenset(ends) for ends in g.edges.values()})
+        if 2 * ell * adjacent > max_elements:
+            raise SizeBoundExceeded(
+                f"age search exceeds its bound of {max_elements} elements: its cost table "
+                f"holds 2 ell * (adjacent vertex pairs) = 2 * {ell} * {adjacent} = "
+                f"{2 * ell * adjacent} entries"
+            )
     order = [g.vertices[0]]
     seen = set(order)
     for v in order:

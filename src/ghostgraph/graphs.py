@@ -296,9 +296,38 @@ def _degree_orderings(g: Multigraph) -> list[tuple[int, ...]]:
     return [sum(perm_parts, ()) for perm_parts in itertools.product(*parts)]
 
 
-def least_encodings(g: Multigraph, rows, ell: int = 1):
+def _end_positions(g: Multigraph):
+    """The vertex indices of each edge's tail and head, in edge-id order."""
+    import numpy as np
+
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[t], index[h]) for t, h in g.edges.values()]
+    return np.array(ends, int).reshape(-1, 2).T
+
+
+def _minimal_orderings(g: Multigraph):
+    """The degree orderings that give g, without labels, its least
+    encoding.  They form one coset of the automorphisms of g, so the least
+    encoding of a labelled row over them is again a complete invariant of
+    the row up to isomorphism, though not always its least encoding over
+    every ordering.  The 5-cycle has 10 of them against 120 orderings."""
+    import numpy as np
+
+    orderings = np.array(_degree_orderings(g))
+    if not g.n_edges:
+        return orderings
+    position = np.argsort(orderings, axis=1)
+    tails, heads = _end_positions(g)
+    a, b = position[:, tails], position[:, heads]
+    enc = np.sort(np.minimum(a, b) * g.n_vertices + np.maximum(a, b), axis=1)
+    least = enc[np.lexsort(enc.T[::-1])[0]]
+    return orderings[(enc == least).all(axis=1)]
+
+
+def least_encodings(g: Multigraph, rows, ell: int = 1, _orderings=None):
     """The least encoding of each row of edge labels over the degree
-    orderings, as an int array shaped like ``rows``.
+    orderings (over ``_orderings`` when given), as an int array shaped
+    like ``rows``.
 
     A row labels the edges, in edge-id order, by residues mod ell read from
     tail to head.  Under an ordering, an edge with ends at positions a <= b
@@ -310,10 +339,9 @@ def least_encodings(g: Multigraph, rows, ell: int = 1):
     import numpy as np
 
     n_v = g.n_vertices
-    position = np.argsort(_degree_orderings(g))  # row o: each vertex's position
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[t], index[h]) for t, h in g.edges.values()]
-    tails, heads = np.array(ends, int).reshape(-1, 2).T
+    orderings = _degree_orderings(g) if _orderings is None else _orderings
+    position = np.argsort(orderings, axis=1)  # row o: each vertex's position
+    tails, heads = _end_positions(g)
     fwd = np.asarray(rows, int) % ell
     back = -fwd % ell
     fwd = np.where(tails == heads, np.minimum(fwd, back), fwd)
@@ -334,12 +362,20 @@ def least_encodings(g: Multigraph, rows, ell: int = 1):
 
 def code_bytes(g: Multigraph, enc, ell: int = 1) -> list[bytes]:
     """The code of each least-encoding row: the repr of the sorted vertex
-    degrees and of the (a, b, m) triple of each edge code."""
-    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
-    triples = [
-        tuple((*divmod(c // ell, g.n_vertices), c % ell) for c in row) for row in enc.tolist()
+    degrees and of the (a, b, m) triple of each edge code.  Each distinct
+    edge code is rendered once and the rows join those strings."""
+    import numpy as np
+
+    enc = np.asarray(enc)
+    prefix = repr(tuple(sorted(g.degree(v) for v in g.vertices)))
+    values, inverse = np.unique(enc, return_inverse=True)
+    triples = [repr((*divmod(c // ell, g.n_vertices), c % ell)) for c in values.tolist()]
+    # a 1-tuple keeps its trailing comma
+    end = ",))" if g.n_edges == 1 else "))"
+    return [
+        f"({prefix}, ({', '.join([triples[i] for i in row])}{end}".encode("ascii")
+        for row in inverse.reshape(enc.shape).tolist()
     ]
-    return [repr((prefix, t)).encode("ascii") for t in triples]
 
 
 def canonical_code(
@@ -353,6 +389,37 @@ def canonical_code(
     return code_bytes(g, least_encodings(g, [row], ell), ell)[0]
 
 
+# pair multisets streamed per block, and entries per temporary array, in
+# enumerate_base_graphs
+_BLOCK = 1 << 14
+_TEMP = 1 << 20
+
+
+def _greatest(counts, moved):
+    """The indices of the rows of ``counts`` (pair multiplicities, pairs in
+    ascending order) that no relabelling makes greater.  A sorted pair list
+    is greater than another exactly when, at the first pair whose
+    multiplicities differ, it has fewer of that pair.  ``moved[p]`` gathers
+    the multiplicities under one relabelling; chunks of relabellings are
+    tested against the rows still standing, each temporary at most
+    ``_TEMP`` entries."""
+    import numpy as np
+
+    keep = np.arange(len(counts))
+    done = 0
+    while keep.size and done < len(moved):
+        step = max(1, _TEMP // (keep.size * counts.shape[1]))
+        rows = counts[keep]
+        relabelled = rows[:, moved[done : done + step]]
+        first = (relabelled != rows[:, None]).argmax(axis=2)
+        greater = np.take_along_axis(relabelled, first[..., None], 2)[..., 0] < np.take_along_axis(
+            rows, first, 1
+        )
+        keep = keep[~greater.any(axis=1)]
+        done += step
+    return keep
+
+
 def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
     """All connected loopless bridgeless multigraphs with >= 2 vertices and
     at most ``max_edges`` edges, one per isomorphism class.
@@ -361,8 +428,14 @@ def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
     in its greatest labelling: vertices ``range(#V)``, edge ids numbering the
     pairs (t < h) in ascending order, and no vertex permutation gives a
     greater sorted pair list.  The snapshots are written in this labelling.
-    Deterministic order: (edge count, vertex count, canonical code).
+    The pair multisets are streamed in blocks of ``_BLOCK`` through two
+    array filters: every vertex met at least twice (bitmasks of the vertices
+    met once and twice), then the greatest labelling against every vertex
+    permutation at once.  Deterministic order: (edge count, vertex count,
+    canonical code).
     """
+    import numpy as np
+
     if max_edges > MAX_CODE_VERTICES:
         raise SizeBoundExceeded(
             f"enumerate_base_graphs limited to {MAX_CODE_VERTICES} edges, "
@@ -371,23 +444,30 @@ def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
     kept = []
     for nv in range(2, max_edges + 1):
         pairs = list(itertools.combinations(range(nv), 2))
-        relabellings = list(itertools.permutations(range(nv)))
+        tails, heads = np.array(pairs).T
+        index = np.zeros((nv, nv), int)
+        index[tails, heads] = index[heads, tails] = np.arange(len(pairs))
+        perms = np.array(list(itertools.permutations(range(nv)))[1:]).reshape(-1, nv)
+        moved = index[perms[:, tails], perms[:, heads]]  # moved[p, i]: pair i under p
+        ends = 1 << tails | 1 << heads  # each pair's ends as a vertex bitmask
         for ne in range(nv, max_edges + 1):
-            for chosen in itertools.combinations_with_replacement(pairs, ne):
-                ends = list(itertools.chain.from_iterable(chosen))
-                if any(ends.count(v) < 2 for v in range(nv)):
-                    continue
-                if any(
-                    tuple(sorted((min(p[t], p[h]), max(p[t], p[h])) for t, h in chosen))
-                    > chosen
-                    for p in relabellings
-                ):
-                    continue
-                try:
-                    g = Multigraph(range(nv), chosen)
-                except GraphError:  # not connected
-                    continue
-                if not separating_edges(g):
-                    kept.append(((ne, nv, canonical_code(g)), g))
+            multisets = itertools.combinations_with_replacement(range(len(pairs)), ne)
+            while (block := np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(multisets, _BLOCK)), np.int8
+            ).reshape(-1, ne)).size:
+                once, twice = np.zeros((2, len(block)), int)
+                for col in ends[block].T:
+                    twice |= once & col
+                    once |= col
+                block = block[twice == (1 << nv) - 1]
+                cells = block + len(pairs) * np.arange(len(block))[:, None]
+                counts = np.bincount(cells.ravel(), minlength=len(block) * len(pairs))
+                for chosen in block[_greatest(counts.reshape(-1, len(pairs)), moved)].tolist():
+                    try:
+                        g = Multigraph(range(nv), [pairs[i] for i in chosen])
+                    except GraphError:  # not connected
+                        continue
+                    if not separating_edges(g):
+                        kept.append(((ne, nv, canonical_code(g)), g))
     kept.sort(key=lambda item: item[0])
     return [g for _, g in kept]

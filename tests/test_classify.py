@@ -1,5 +1,6 @@
 """Junior-stratum classification: enumeration, codes, closure structure."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -25,14 +26,17 @@ from ghostgraph import (
     stratum_age,
     vine_notation,
 )
+from ghostgraph import classify as classify_mod
 from ghostgraph.classify import (
     BUCKET_BOUND,
     _admissible_sets,
     decoration_code,
     scan_graph,
 )
+from ghostgraph.cli import class_row, rows_to_tsv
+from ghostgraph.decorated import contract_decorated
 from ghostgraph.ghosts import age, is_supported
-from ghostgraph.graphs import code_bytes, least_encodings
+from ghostgraph.graphs import _minimal_orderings, code_bytes, least_encodings
 
 from oracles import (
     brute_decoration_key,
@@ -163,6 +167,30 @@ class TestClassCodes:
             for row, k_set in zip(rows.tolist(), k_sets):
                 d = dec(g, ell, dict(zip(g.edge_ids, row)))
                 assert k_set == admissible_k(d), (g, row)
+
+
+class TestMinimalOrderings:
+    """Classes are grouped by the least encoding over the orderings that
+    give the unlabelled graph its least encoding: the same partition of
+    the junior rows as the least encoding over every degree ordering."""
+
+    def test_cycle(self):
+        cycle = Multigraph(range(5), [(i, (i + 1) % 5) for i in range(5)])
+        assert len(_minimal_orderings(cycle)) == 10  # the dihedral group, of 120 orderings
+
+    @pytest.mark.parametrize("ell,max_edges", [(5, 4), (7, 5)])
+    def test_same_partition_as_every_ordering(self, ell, max_edges):
+        for g in enumerate_base_graphs(max_edges):
+            scan = scan_graph(g, ell)
+            rows = scan.decorations[scan.junior]
+            if not len(rows):
+                continue
+            full = least_encodings(g, rows, ell)
+            minimal = least_encodings(g, rows, ell, _orderings=_minimal_orderings(g))
+            _, by_full = np.unique(full, axis=0, return_inverse=True)
+            _, by_minimal = np.unique(minimal, axis=0, return_inverse=True)
+            pairs = set(zip(by_full.ravel().tolist(), by_minimal.ravel().tolist()))
+            assert len(pairs) == by_full.max() + 1 == by_minimal.max() + 1, g
 
 
 class TestScanGraph:
@@ -322,6 +350,19 @@ class TestClassifyJunior:
         junior = {g: int(scan_graph(g, 7).junior.sum()) for g in enumerate_base_graphs(5)}
         assert covered == {g: n for g, n in junior.items() if n}
 
+    def test_full_listing_ell7_pinned(self):
+        """The ell = 7 listing up to 5 edges: the SHA-256 of its TSV and of
+        its class codes joined by newlines, in class order."""
+        classes = classify_junior(7, max_edges=5)
+        assert len(classes) == 10985
+        tsv = rows_to_tsv([class_row(c) for c in classes]).encode()
+        assert hashlib.sha256(tsv).hexdigest() == (
+            "c408bd647515001eb9ca9a8fc0df51c5455c53384488cf00b4d36e27b126b780"
+        )
+        assert hashlib.sha256(b"\n".join(c.code for c in classes)).hexdigest() == (
+            "28eb9a6cc4bae4285a9249f57af97241bdb5b831f5b15499b368c0fa519ab310"
+        )
+
     def test_full_listing_keeps_bucket_bound(self):
         with pytest.raises(
             SizeBoundExceeded,
@@ -339,7 +380,17 @@ class TestClassifyJunior:
                     continue
                 assert not contracts_to(c1.decorated, c2.decorated)
 
-    def test_non_maximal_dominated(self):
+    def test_non_maximal_dominated(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        for name in ("decoration_code", "contract_decorated"):
+            monkeypatch.setattr(classify_mod, name, counted(name, getattr(classify_mod, name)))
         classes = classify_junior(5)
         juniors = [c.decorated for c in classes]
         for c in classes:
@@ -350,9 +401,35 @@ class TestClassifyJunior:
                 and contracts_to(c.decorated, d1)
                 for d1 in juniors
             )
+        # without the invariants, each of the 2,003 contractions and each
+        # target would be coded
+        assert calls["decoration_code"] < calls["contract_decorated"] // 2
+
+
+def contracts_to_by_codes(d0, d1):
+    """contracts_to without invariants: the code of every contraction."""
+    e0, e1 = d0.graph.n_edges, d1.graph.n_edges
+    if d0.ell != d1.ell or e1 > e0:
+        return False
+    target = decoration_code(d1)
+    return any(
+        decoration_code(contract_decorated(d0, f)) == target
+        for f in itertools.combinations(d0.graph.edge_ids, e0 - e1)
+    )
 
 
 class TestContractsTo:
+    def test_matches_codes_of_every_contraction(self):
+        # every ordered pair of ell = 5 classes up to 3 edges, and every
+        # eighth 4-edge class against those
+        classes = classify_junior(5, max_edges=4)
+        small = [c.decorated for c in classes if c.codimension <= 3]
+        big = [c.decorated for c in classes if c.codimension == 4][::8]
+        pairs = [(d0, d1) for d0 in small + big for d1 in small if d0 is not d1]
+        found = [contracts_to(d0, d1) for d0, d1 in pairs]
+        assert found == [contracts_to_by_codes(d0, d1) for d0, d1 in pairs]
+        assert 0 < sum(found) < len(pairs)
+
     def test_reflexive(self):
         d = dec(vine(2), 5, {0: 1, 1: 1})
         assert contracts_to(d, d)

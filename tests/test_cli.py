@@ -192,6 +192,28 @@ class TestAnalyze:
         assert "bound of 10000000 partial potentials" in result.output
         assert f"= {100003 * 119}" in result.output
 
+    def test_age_cost_table_bound_checked_first(self, tmp_path):
+        # K11 with all M = 1 is its own reduced core: its first descent
+        # visits 100003 * 10 potentials, but its cost table would hold
+        # 2 * 100003 entries for each of its 55 adjacent pairs
+        n = 11
+        data = {
+            "ell": 100003,
+            "vertices": [{"id": i, "genus": None} for i in range(n)],
+            "edges": [{"tail": i, "head": j, "m": 1} for i in range(n) for j in range(i)],
+        }
+        path = tmp_path / "k11.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["analyze", str(path), "--json"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            "age search exceeds its bound of 10000000 elements: its cost table holds "
+            f"2 ell * (adjacent vertex pairs) = 2 * 100003 * 55 = {2 * 100003 * 55} entries"
+        ) in result.output
+
     def test_integer_past_parse_digit_limit_exit_code(self, tmp_path):
         path = vine_file(tmp_path, 5, (1, 4))
         text = path.read_text().replace('"genus": null', '"genus": ' + "9" * (MAX_DIGITS + 1), 1)

@@ -215,6 +215,15 @@ class TestStratumAge:
             stratum_age(d, max_elements=1)
         assert stratum_age(d) < INFINITE_AGE
 
+    def test_cost_table_bound(self):
+        # a triangle at ell = 7: the first descent visits 14 potentials,
+        # the cost table holds 2 * 7 entries for each of 3 adjacent pairs
+        g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (2, 0)])
+        d = dec(g, 7, {e: 1 + e for e in g.edge_ids})
+        with pytest.raises(SizeBoundExceeded, match=r"bound of 41 elements: .* = 2 \* 7 \* 3 = 42"):
+            stratum_age(d, max_elements=41)
+        assert stratum_age(d) < INFINITE_AGE
+
     def test_deep_core_without_recursion(self):
         # a chain of 300 vertices joined by doubled edges: the search goes
         # 300 vertices deep, past a recursion limit of 150

@@ -285,6 +285,53 @@ class TestCanonicalCode:
         assert len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
 
 
+def repr_code_bytes(g, enc, ell):
+    """code_bytes written out as the repr of the sorted degrees and of the
+    (a, b, m) triples of each row, one row at a time."""
+    prefix = tuple(sorted(g.degree(v) for v in g.vertices))
+    return [
+        repr((prefix, tuple((*divmod(c // ell, g.n_vertices), c % ell) for c in row))).encode()
+        for row in enc.tolist()
+    ]
+
+
+class TestCodeBytes:
+    """The table-driven code_bytes against the repr of each row."""
+
+    @pytest.mark.parametrize(
+        "g,rows,ell",
+        [
+            (Multigraph([4], []), [[], []], 5),
+            (Multigraph([0, 1], [(0, 1)]), [[1], [3], [4]], 5),
+            (Multigraph([0], [(0, 0)]), [[2], [3]], 7),
+            (Multigraph([0, 1], [(0, 1), (1, 1), (1, 1)]), [[1, 2, 5], [6, 6, 1]], 7),
+            (triangle(), [[1, 2, 3], [3, 3, 3], [6, 1, 1]], 7),
+        ],
+        ids=["no-edges", "one-edge", "loop", "loops", "triangle"],
+    )
+    def test_matches_repr(self, g, rows, ell):
+        enc = least_encodings(g, rows, ell)
+        assert code_bytes(g, enc, ell) == repr_code_bytes(g, enc, ell)
+
+    def test_edge_cases(self):
+        assert code_bytes(Multigraph([4], []), least_encodings(Multigraph([4], []), [[]])) == [
+            b"((0,), ())"
+        ]
+        one = Multigraph([0, 1], [(0, 1)])
+        # swapping the ends reads 3 as -3 = 2; a 1-tuple keeps its comma
+        assert code_bytes(one, least_encodings(one, [[3]], 5), 5) == [b"((1, 1), ((0, 1, 2),))"]
+        loop = Multigraph([0], [(0, 0)])
+        # a loop keeps the lesser of m and -m
+        assert code_bytes(loop, least_encodings(loop, [[5]], 7), 7) == [b"((2,), ((0, 0, 2),))"]
+
+    def test_one_row_at_large_level(self):
+        ell = 100003
+        g = Multigraph([0, 1], [(0, 1), (0, 1), (0, 1)])
+        enc = least_encodings(g, [[1, 50000, ell - 1]], ell)
+        assert code_bytes(g, enc, ell) == repr_code_bytes(g, enc, ell)
+        assert code_bytes(g, enc, ell) == [b"((3, 3), ((0, 1, 1), (0, 1, 50000), (0, 1, 100002)))"]
+
+
 class TestEnumerateBaseGraphs:
     def test_two_edges(self):
         (g,) = enumerate_base_graphs(2)
@@ -341,3 +388,13 @@ class TestEnumerateBaseGraphs:
     def test_size_bound(self):
         with pytest.raises(SizeBoundExceeded, match="limited to 8 edges, asked for 9"):
             enumerate_base_graphs(9)
+
+    def test_seven_edges(self):
+        graphs = enumerate_base_graphs(7)
+        counts = Counter(g.n_edges for g in graphs)
+        assert counts == {2: 1, 3: 2, 4: 4, 5: 8, 6: 23, 7: 56}
+        assert len(graphs) == 94
+        keys = [(g.n_edges, g.n_vertices, canonical_code(g)) for g in graphs]
+        assert keys == sorted(keys)
+        six = enumerate_base_graphs(6)
+        assert graphs[: len(six)] == six
