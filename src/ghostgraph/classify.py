@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cochains import EvenFunction, OneCochain
+from .cochains import EvenFunction
 from .decorated import (
     DecoratedGraph,
     DecorationError,
@@ -38,6 +38,7 @@ from .ghosts import is_prime
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
+    _end_positions,
     _minimal_orderings,
     canonical_code,
     code_bytes,
@@ -129,8 +130,7 @@ def scan_graph(g: Multigraph, ell: int) -> _GraphScan:
     cands = _candidate_matrix(n_e, ell)
     n_c = cands.shape[0]
     keys_c = cands.sum(axis=1) * n_c + np.arange(n_c)
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    tails, heads = (np.array([pos[v] for v in ends]) for ends in zip(*g.edges.values()))
+    tails, heads = _end_positions(g)
     phi = np.indices((1,) + (ell,) * (n_v - 1)).reshape(n_v, -1).T
     cob = (phi[:, heads] - phi[:, tails]) % ell
     bits = 1 << np.arange(n_e)
@@ -161,11 +161,6 @@ def scan_graph(g: Multigraph, ell: int) -> _GraphScan:
         cands,
         junior & (partial.ravel() == big),
     )
-
-
-def _decorated_from_vector(g: Multigraph, ell: int, vec) -> DecoratedGraph:
-    vals = {e: int(v) for e, v in zip(g.edge_ids, vec)}
-    return DecoratedGraph(g, ell, OneCochain(g, ell, vals))
 
 
 def classify_junior(
@@ -217,8 +212,8 @@ def _admissible_sets(g: Multigraph, ell: int, rows: np.ndarray) -> list[frozense
     for the multidegree dm = rows @ B^T with B the signed incidence."""
     import numpy as np
 
-    at = np.array(g.vertices)[:, None]
-    tails, heads = np.array(list(g.edges.values())).T
+    at = np.arange(g.n_vertices)[:, None]
+    tails, heads = _end_positions(g)
     dm = rows @ ((heads == at).astype(int) - (tails == at)).T
     ks = np.arange(ell)[:, None]
     rhs = dm[:, None, :] - ks * (np.array([g.degree(v) for v in g.vertices]) - 2)
@@ -263,7 +258,8 @@ def _classify_cached(
         codes = code_bytes(g, least_encodings(g, rows[first], ell), ell)
         k_sets = _admissible_sets(g, ell, rows[first])
         for i, code, k_set, orbit_size in zip(first.tolist(), codes, k_sets, counts.tolist()):
-            rep = _decorated_from_vector(g, ell, rows[i])
+            values = dict(zip(g.edge_ids, rows[i].tolist()))
+            rep = DecoratedGraph.from_edge_values(g, ell, values)
             witness = EvenFunction(g, ell, dict(zip(g.edge_ids, witnesses[i].tolist())))
             classes.append(StratumClass(
                 decorated=rep,

@@ -118,10 +118,7 @@ def gamma_nu(d: DecoratedGraph, p: int, k: int) -> Multigraph:
 
 
 def gamma_p(d: DecoratedGraph, p: int) -> Multigraph:
-    fac = prime_factors(d.ell)
-    if p not in fac:
-        raise DecorationError(f"{p} does not divide the level {d.ell}")
-    return gamma_nu(d, p, fac[p])
+    return gamma_nu(d, p, prime_factors(d.ell).get(p, 1))
 
 
 def stabilizer_order(d: DecoratedGraph, e: int) -> int:

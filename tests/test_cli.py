@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ghostgraph import DecoratedGraph, Multigraph, genus_labeling, ghost_group, qr_subgroup
 from ghostgraph import props as props_mod
@@ -22,6 +23,60 @@ from oracles import connected_multigraphs, vine_stratum_age
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SNAPSHOTS = ROOT / "snapshots"
+
+
+# levels for the fuzzed documents; BIG_LEVEL, past MAX_LEVEL, goes only on
+# graphs of at most two vertices, since a triangle at ell = 100003 runs
+# seconds before its age search stops
+FUZZ_LEVELS = (0, 1, 2, 4, 5, 6, 7, 12, 13)
+BIG_LEVEL = 100_004
+# genus labels near the root-count digit bound, and one past CPython's
+# default 4,300-digit limit for int <-> str
+FUZZ_GENERA = (None, 0, 1, 2, -1, MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1, 10**4300)
+JUNK = ("x", 1.5, None, True, [], {})
+
+
+@st.composite
+def analyze_documents(draw):
+    """A JSON value for analyze: mostly a well-formed connected decorated
+    graph, each fault drawn on its own and rarely, so that both answers and
+    every kind of rejection occur.  The faults are a duplicate or unknown
+    vertex, a missing tree edge (a disconnected graph), m out of range,
+    values of the wrong type or removed, and a top level that is no object."""
+
+    def rarely():  # hypothesis shrinks toward 0: the least example has no fault
+        return draw(st.integers(0, 7)) == 7
+
+    n = draw(st.integers(1, 5))
+    ids = list(range(n)) + ([draw(st.integers(0, n - 1))] if rarely() else [])
+    ell = draw(st.sampled_from(FUZZ_LEVELS + ((BIG_LEVEL,) if len(ids) <= 2 else ())))
+    labelled = draw(st.booleans())
+    vertices = [
+        {"id": v, "genus": draw(st.sampled_from(FUZZ_GENERA)) if labelled else None}
+        for v in ids
+    ]
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n) if not rarely()]
+    vertex = st.integers(0, n - 1)
+    pairs += [(draw(vertex), draw(vertex)) for _ in range(draw(st.integers(0, 3)))]
+    m = st.integers(0, max(ell - 1, 0))
+    edges = [
+        {
+            "tail": n if rarely() else t,  # n names no vertex
+            "head": h,
+            "m": draw(st.sampled_from([-1, ell])) if rarely() else draw(m),
+        }
+        for t, h in pairs
+    ]
+    doc = {"ell": ell, "vertices": vertices, "edges": edges}
+    while rarely():
+        item = draw(st.sampled_from([doc] + vertices + edges))
+        if item:
+            key = draw(st.sampled_from(sorted(item)))
+            if draw(st.booleans()):
+                del item[key]
+            else:
+                item[key] = draw(st.sampled_from(JUNK))
+    return draw(st.sampled_from(JUNK)) if rarely() else doc
 
 
 def vine_file(tmp_path, ell, values, name="graph.json"):
@@ -292,6 +347,19 @@ class TestAnalyze:
         result = CliRunner().invoke(main, ["analyze"])
         assert result.exit_code == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(doc=analyze_documents(), k=st.sampled_from([None, 0, 1, 2, -1]), as_json=st.booleans())
+    def test_any_document_answers_or_exits(self, tmp_path_factory, doc, k, as_json):
+        path = tmp_path_factory.mktemp("fuzz") / "graph.json"
+        with _int_digits(MAX_DIGITS):
+            path.write_text(json.dumps(doc))
+        args = ["analyze", str(path)] + (["--k", str(k)] if k is not None else [])
+        result = CliRunner().invoke(main, args + (["--json"] if as_json else []))
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exc_info
+        )
+        assert result.exit_code in (0, 3, 4), result.output
+
 
 class TestClassify:
     def test_ell3_one_row(self):
@@ -423,14 +491,21 @@ class TestProps:
         assert "FAIL" not in result.output
 
     def test_failing_property(self, monkeypatch):
-        def always_fails(rng, n):
-            return props_mod._run("always fails", rng, n, lambda rng: "no luck")
-
-        monkeypatch.setitem(props_mod._REGISTRY, "graph", [("always fails", always_fails)])
+        always_fails = [("always fails", lambda rng: "no luck")]
+        monkeypatch.setitem(props_mod._REGISTRY, "graph", always_fails)
         result = CliRunner().invoke(main, ["props", "--scope", "graph", "--cases", "3"])
         assert result.exit_code == 1
         assert "[graph] always fails: 3 cases FAIL" in result.output
         assert "case 0: no luck" in result.output
+
+    def test_failures_stop_at_five(self, monkeypatch):
+        always_fails = [("always fails", lambda rng: "no luck")]
+        monkeypatch.setitem(props_mod._REGISTRY, "graph", always_fails)
+        result = CliRunner().invoke(main, ["props", "--scope", "graph", "--cases", "10"])
+        assert result.exit_code == 1
+        assert "[graph] always fails: 10 cases FAIL" in result.output
+        failures = [line.strip() for line in result.output.splitlines() if "case " in line]
+        assert failures == [f"case {i}: no luck" for i in range(5)]
 
     def test_seed_reproducible(self):
         args = ["props", "--scope", "graph", "--cases", "10", "--seed", "7"]

@@ -91,6 +91,10 @@ class TestGammaNu:
         with pytest.raises(DecorationError):
             gamma_nu(dec(vine(2), 4, {0: 1, 1: 1}), 3, 1)
 
+    def test_gamma_p_rejects_prime_off_the_level(self):
+        with pytest.raises(DecorationError, match="3 does not divide the level 4"):
+            gamma_p(dec(vine(2), 4, {0: 1, 1: 1}), 3)
+
 
 class TestStabilizerOrder:
     def test_examples(self):
