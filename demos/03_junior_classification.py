@@ -7,7 +7,10 @@ classes: the orbits of the base graph's automorphisms, which act by
 permuting edges and negating M on an edge whose ends they swap.  The
 orbit size of a class is its number of labelled decorations.  By default only closure-maximal classes are reported: those
 whose junior witnesses never vanish on an edge, so no further
-contraction stays junior.
+contraction stays junior; those tables skip, unscanned, the base graphs
+with a vertex that has two neighbours, one of them joined by a single
+edge, as they carry no maximal class.  A class keeps its base graph and
+its decoration as integers in edge-id order (c.graph, c.row).
 """
 
 from collections import Counter
@@ -17,9 +20,7 @@ from ghostgraph import classify_junior, vine_notation
 for ell in (2, 3, 5, 7):
     classes = classify_junior(ell, k=1, only_maximal=True)
     print(f"level {ell}: {len(classes)} maximal junior classes at k=1")
-    by_shape = Counter(
-        (c.decorated.graph.n_vertices, c.decorated.graph.n_edges) for c in classes
-    )
+    by_shape = Counter((c.graph.n_vertices, c.graph.n_edges) for c in classes)
     for (n_v, n_e), count in sorted(by_shape.items()):
         print(f"   {count} classes on graphs with {n_v} vertices, {n_e} edges")
 
@@ -42,8 +43,7 @@ for c in classify_junior(7, k=0, only_maximal=True):
 # with four vertices; their minimal witnesses are all-ones with age 6/7.
 print("\nlevel 7, k=1 non-vine classes:")
 for c in classify_junior(7, k=1, only_maximal=True):
-    g = c.decorated.graph
+    g = c.graph
     if c.vine is None:
-        m = {e: c.decorated.m_value(e) for e in sorted(g.edge_ids)}
         print(f"   {g.n_vertices} vertices, {g.n_edges} edges, "
-              f"M={list(m.values())}, age {c.age}")
+              f"M={list(c.row)}, age {c.age}")

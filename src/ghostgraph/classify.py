@@ -13,8 +13,10 @@ of its automorphisms, so the least encoding over it is a complete
 invariant.  ``np.unique`` compares the encodings as byte strings, and
 only each class's first row is coded over every ordering, which gives
 the class code; ``decoration_code`` is the one-row call.  The
-multidegrees give the admissible k, so the Python work per class is
-building its objects.
+multidegrees give the admissible k, so the Python work per class is one
+record of integer rows; its ``DecoratedGraph`` and witness are built only
+when read.  Maximal tables skip the base graphs that ``reduce_step``'s
+lemma rules out before scanning them.
 
 numpy is imported inside the kernels that use it, so importing the
 package, and analyzing one graph, never loads it.
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -50,21 +52,47 @@ from .graphs import (
 SUPPORTED_LEVELS = (2, 3, 5, 7)
 
 
+class _cached_field(functools.cached_property):
+    """A cached property that is also a dataclass field: a value given to
+    ``__init__`` or ``dataclasses.replace`` is kept, otherwise the value is
+    built on first read."""
+
+    def __set__(self, obj, value):
+        if value is not self:  # the field default: build on first read
+            obj.__dict__[self.attrname] = value
+
+
 @dataclass
 class StratumClass:
-    decorated: DecoratedGraph
+    """One class: its base graph, the level, and the integer rows of its
+    smallest decoration and of a minimal witness, in ``graph.edge_ids``
+    order.  ``decorated`` and ``witness`` are built from the rows on first
+    read."""
+
+    graph: Multigraph
+    ell: int
+    row: tuple[int, ...]
     code: bytes
     vine: Optional[tuple[int, ...]]
     age: Fraction
-    witness: EvenFunction
+    witness_row: tuple[int, ...]
     codimension: int
     admissible_k: frozenset[int]
     orbit_size: int
     maximal: bool
 
-    @property
-    def ell(self) -> int:
-        return self.decorated.ell
+    def _decorated(self) -> DecoratedGraph:
+        return DecoratedGraph.from_edge_values(
+            self.graph, self.ell, dict(zip(self.graph.edge_ids, self.row))
+        )
+
+    def _witness(self) -> EvenFunction:
+        return EvenFunction(self.graph, self.ell, dict(zip(self.graph.edge_ids, self.witness_row)))
+
+    decorated: DecoratedGraph = field(
+        default=_cached_field(_decorated), repr=False, compare=False
+    )
+    witness: EvenFunction = field(default=_cached_field(_witness), repr=False, compare=False)
 
 
 def decoration_code(d: DecoratedGraph) -> bytes:
@@ -76,16 +104,18 @@ def decoration_code(d: DecoratedGraph) -> bytes:
 def vine_notation(d: DecoratedGraph) -> Optional[tuple[int, ...]]:
     """For a 2-vertex graph, the sorted decoration values oriented from the
     lower vertex, normalized under global negation."""
-    g = d.graph
+    return _vine(d.graph, d.ell, [d.m_value(e) for e in d.graph.edge_ids])
+
+
+def _vine(g: Multigraph, ell: int, row) -> Optional[tuple[int, ...]]:
+    """``vine_notation`` of the decoration with values ``row`` in
+    ``g.edge_ids`` order."""
     if g.n_vertices != 2 or g.loops():
         return None
     lo = g.vertices[0]
-    vals = []
-    for e, (t, h) in g.edges.items():
-        m = d.m_value(e)
-        vals.append(m if t == lo else (-m) % d.ell)
+    vals = [m if g.ends(e)[0] == lo else (-m) % ell for e, m in zip(g.edge_ids, row)]
     fwd = tuple(sorted(vals))
-    bwd = tuple(sorted((-m) % d.ell for m in vals))
+    bwd = tuple(sorted((-m) % ell for m in vals))
     return min(fwd, bwd)
 
 
@@ -191,7 +221,7 @@ def classify_junior(
     return classes
 
 
-# per-class Python work (building the class objects) and the class list
+# per-class Python work (one record of integer rows) and the class list
 # itself grow with the junior decorations of one graph; cap them for full
 # (non-maximal) listings at large levels
 BUCKET_BOUND = 20_000
@@ -229,10 +259,12 @@ def _classify_cached(
 ) -> tuple[StratumClass, ...]:
     import numpy as np
 
-    # scan every base graph and test the bound before any per-class work,
-    # keeping only the rows that will be grouped into classes
+    # scan the base graphs and test the bound before any per-class work,
+    # keeping only the rows that will be grouped into classes; a graph with
+    # a vine-reduction configuration carries no maximal class (reduce_step)
     found = []
-    for g in enumerate_base_graphs(max_edges):
+    keep = (lambda g: _reduction(g) is None) if only_maximal else None
+    for g in enumerate_base_graphs(max_edges, keep):
         scan = scan_graph(g, ell)
         mask = scan.junior & scan.maximal if only_maximal else scan.junior
         idxs = np.nonzero(mask)[0]
@@ -258,24 +290,22 @@ def _classify_cached(
         codes = code_bytes(g, least_encodings(g, rows[first], ell), ell)
         k_sets = _admissible_sets(g, ell, rows[first])
         for i, code, k_set, orbit_size in zip(first.tolist(), codes, k_sets, counts.tolist()):
-            values = dict(zip(g.edge_ids, rows[i].tolist()))
-            rep = DecoratedGraph.from_edge_values(g, ell, values)
-            witness = EvenFunction(g, ell, dict(zip(g.edge_ids, witnesses[i].tolist())))
+            row = tuple(rows[i].tolist())
             classes.append(StratumClass(
-                decorated=rep,
+                graph=g,
+                ell=ell,
+                row=row,
                 code=code,
-                vine=vine_notation(rep),
+                vine=_vine(g, ell, row),
                 age=Fraction(int(age_num[i]), ell),
-                witness=witness,
+                witness_row=tuple(witnesses[i].tolist()),
                 codimension=g.n_edges,
                 admissible_k=k_set,
                 orbit_size=orbit_size,
                 maximal=bool(maximal[i]),
             ))
-    classes.sort(
-        key=lambda c: (c.decorated.graph.n_edges, c.decorated.graph.n_vertices, c.code)
-    )
-    assert all(c.decorated.graph.n_edges < ell for c in classes if c.maximal)
+    classes.sort(key=lambda c: (c.codimension, c.graph.n_vertices, c.code))
+    assert all(c.codimension < ell for c in classes if c.maximal)
     return tuple(classes)
 
 
@@ -309,15 +339,24 @@ def contracts_to(d0: DecoratedGraph, d1: DecoratedGraph) -> bool:
 
 
 def reduce_step(d: DecoratedGraph) -> Optional[tuple[DecoratedGraph, DecoratedGraph]]:
-    """The two contractions of the vine-reduction configuration, if present.
+    """The two contractions of the vine-reduction configuration of
+    ``_reduction``, if present: along e' and along the rest of the tree.
+    Whenever d is junior, one of the two contractions is junior as well,
+    so such graphs never carry maximal junior strata."""
+    found = _reduction(d.graph)
+    if found is None:
+        return None
+    _, _, e_prime, tree = found
+    return contract_decorated(d, {e_prime}), contract_decorated(d, set(tree) - {e_prime})
+
+
+def _reduction(g: Multigraph) -> Optional[tuple[int, int, int, list[int]]]:
+    """The vine-reduction configuration (v1, e, e', tree), if present.
 
     Looks for a vertex v1 with exactly two neighbors v2, v3 and a single
-    edge e to one of them; returns the contractions along e' (one edge from
-    v1 to the other neighbor) and along the rest of a spanning tree through
-    e' that avoids e.  Whenever d is junior, one of the two contractions is
-    junior as well, so such graphs never carry maximal junior strata.
+    edge e to one of them; e' is one edge from v1 to the other neighbor and
+    tree a spanning tree through e' that avoids e.
     """
-    g = d.graph
     for v1 in g.vertices:
         # the edges at v1 grouped by their other end; a loop's is v1 itself
         by_nbr: dict[int, list[int]] = {}
@@ -335,9 +374,7 @@ def reduce_step(d: DecoratedGraph) -> Optional[tuple[DecoratedGraph, DecoratedGr
             tree, _ = spanning_forest(g, [e_prime] + rest + [e])
             if e in tree:
                 continue
-            d1 = contract_decorated(d, {e_prime})
-            d2 = contract_decorated(d, set(tree) - {e_prime})
-            return d1, d2
+            return v1, e, e_prime, tree
     return None
 
 
@@ -355,8 +392,7 @@ def prop_k_symmetry(
     target = classify_junior(ell, k=k, max_edges=max_edges, only_maximal=only_maximal)
     scaled: dict[Multigraph, list[list[int]]] = {}
     for c in base:
-        g = c.decorated.graph
-        scaled.setdefault(g, []).append([k * c.decorated.m_value(e) for e in g.edge_ids])
+        scaled.setdefault(c.graph, []).append([k * m for m in c.row])
     mapped = {
         code for g, rows in scaled.items()
         for code in code_bytes(g, least_encodings(g, rows, ell), ell)

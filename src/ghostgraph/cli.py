@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from . import props as props_mod
-from .classify import StratumClass, classify_junior, vine_notation
+from .classify import StratumClass, classify_junior
 from .decorated import (
     DecorationError,
     admissible_k,
@@ -240,13 +240,11 @@ def analyze(path: Path, k: Optional[int], as_json: bool):
 
 
 def class_row(c: StratumClass) -> dict:
-    d = c.decorated
-    edges = []
-    for e, (t, h) in sorted(d.graph.edges.items()):
-        edges.append(f"{t}-{h}:{d.m_value(e)}")
+    g = c.graph
+    edges = [f"{t}-{h}:{m}" for (t, h), m in zip(map(g.ends, g.edge_ids), c.row)]
     return {
-        "vertices": d.graph.n_vertices,
-        "edges": d.graph.n_edges,
+        "vertices": g.n_vertices,
+        "edges": g.n_edges,
         "vine": "(" + ",".join(str(m) for m in c.vine) + ")" if c.vine else "-",
         "age": f"{c.age.numerator}/{c.age.denominator}",
         "codimension": c.codimension,

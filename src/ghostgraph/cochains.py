@@ -156,10 +156,8 @@ class EvenFunction(_EdgeFunction):
 
 def delta(a: ZeroCochain) -> OneCochain:
     """(delta a)(e) = a(head) - a(tail) on every dart."""
-    g = a.graph
-    return OneCochain(
-        g, a.ell, {e: a(h) - a(t) for e, (t, h) in g.edges.items()}
-    )
+    g, values = a.graph, a._values
+    return OneCochain(g, a.ell, {e: values[h] - values[t] for e, (t, h) in g._edges.items()})
 
 
 def boundary(b: OneCochain) -> ZeroCochain:

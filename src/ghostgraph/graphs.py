@@ -11,7 +11,7 @@ encoder when it runs.
 from __future__ import annotations
 
 import itertools
-from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 Dart = tuple[int, int]
 
@@ -33,7 +33,7 @@ class Multigraph:
     question (darts, degree, neighbors, tree walks) reads that list.
     """
 
-    __slots__ = ("_vertices", "_edges", "_darts")
+    __slots__ = ("_vertices", "_edges", "_edge_ids", "_darts")
 
     def __init__(self, vertices: Iterable[int], edges):
         vs = tuple(sorted(set(int(v) for v in vertices)))
@@ -55,6 +55,7 @@ class Multigraph:
             darts[h].append((e, 1))
         self._vertices = vs
         self._edges = dict(items)
+        self._edge_ids = tuple(ids)
         self._darts = darts
         # connected iff a BFS over every edge reaches every vertex
         if len(_rooted_tree(self, self._edges)[0]) != len(vs):
@@ -70,7 +71,7 @@ class Multigraph:
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(self._edges)
+        return self._edge_ids
 
     @property
     def n_vertices(self) -> int:
@@ -420,9 +421,12 @@ def _greatest(counts, moved):
     return keep
 
 
-def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
+def enumerate_base_graphs(
+    max_edges: int, keep: Optional[Callable[[Multigraph], bool]] = None
+) -> list[Multigraph]:
     """All connected loopless bridgeless multigraphs with >= 2 vertices and
-    at most ``max_edges`` edges, one per isomorphism class.
+    at most ``max_edges`` edges, one per isomorphism class; with ``keep``
+    given, only those it accepts, tested before their codes are computed.
 
     Every vertex necessarily has degree >= 2, so #V <= #E.  Each class comes
     in its greatest labelling: vertices ``range(#V)``, edge ids numbering the
@@ -467,7 +471,7 @@ def enumerate_base_graphs(max_edges: int) -> list[Multigraph]:
                         g = Multigraph(range(nv), [pairs[i] for i in chosen])
                     except GraphError:  # not connected
                         continue
-                    if not separating_edges(g):
+                    if not separating_edges(g) and (keep is None or keep(g)):
                         kept.append(((ne, nv, canonical_code(g)), g))
     kept.sort(key=lambda item: item[0])
     return [g for _, g in kept]

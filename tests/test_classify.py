@@ -1,5 +1,6 @@
 """Junior-stratum classification: enumeration, codes, closure structure."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -27,16 +28,24 @@ from ghostgraph import (
     vine_notation,
 )
 from ghostgraph import classify as classify_mod
+from ghostgraph import cochains
 from ghostgraph.classify import (
     BUCKET_BOUND,
     _admissible_sets,
+    _reduction,
     decoration_code,
     scan_graph,
 )
 from ghostgraph.cli import class_row, rows_to_tsv
 from ghostgraph.decorated import contract_decorated
 from ghostgraph.ghosts import age, is_supported
-from ghostgraph.graphs import _minimal_orderings, code_bytes, least_encodings
+from ghostgraph.graphs import (
+    _minimal_orderings,
+    code_bytes,
+    contract_edges,
+    least_encodings,
+    spanning_forest,
+)
 
 from oracles import (
     brute_decoration_key,
@@ -468,6 +477,84 @@ class TestReduceStep:
             assert d1.graph.n_edges < 4 and d2.graph.n_edges < 4
             if stratum_age(d) < 1:
                 assert min(stratum_age(d1), stratum_age(d2)) < 1
+
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_reducible_base_graphs_carry_no_maximal_row(self, ell):
+        # the lemma that lets the maximal tables skip these graphs unscanned
+        reducible = [g for g in enumerate_base_graphs(6) if _reduction(g) is not None]
+        assert len(reducible) == 25
+        for g in reducible:
+            scan = scan_graph(g, ell)
+            assert not (scan.junior & scan.maximal).any(), g
+
+    def test_reduction_agrees_with_reduce_step(self):
+        graphs = enumerate_base_graphs(6)
+        for g in graphs:
+            found = _reduction(g)
+            d = dec(g, 7, {e: 1 for e in g.edge_ids})
+            out = reduce_step(d)
+            assert (found is None) == (out is None), g
+            if found is None:
+                continue
+            v1, e, e_prime, tree = found
+            (v2,), (v3,) = set(g.ends(e)) - {v1}, set(g.ends(e_prime)) - {v1}
+            assert g.neighbors(v1) == {v2, v3} and v2 != v3
+            assert [f for f in g.edge_ids if set(g.ends(f)) == {v1, v2}] == [e]
+            assert e_prime in tree and e not in tree
+            assert len(spanning_forest(g, tree)[0]) == len(tree) == g.n_vertices - 1
+            d1, d2 = out
+            assert d1.graph == contract_edges(g, {e_prime}).graph
+            assert d2.graph == contract_edges(g, set(tree) - {e_prime}).graph
+        kept = enumerate_base_graphs(6, lambda g: _reduction(g) is None)
+        assert kept == [
+            g for g in graphs if reduce_step(dec(g, 7, {e: 1 for e in g.edge_ids})) is None
+        ]
+
+
+class TestClassRows:
+    def test_rows_back_the_objects_ell5(self):
+        for c in classify_junior(5):
+            d, w = c.decorated, c.witness
+            edges = [f"{t}-{h}:{d.m_value(e)}" for e, (t, h) in sorted(d.graph.edges.items())]
+            assert class_row(c) == {
+                "vertices": d.graph.n_vertices,
+                "edges": d.graph.n_edges,
+                "vine": "(" + ",".join(map(str, c.vine)) + ")" if c.vine else "-",
+                "age": f"{c.age.numerator}/{c.age.denominator}",
+                "codimension": c.codimension,
+                "admissible_k": ",".join(map(str, sorted(c.admissible_k))),
+                "orbit_size": c.orbit_size,
+                "maximal": c.maximal,
+                "decoration": ";".join(edges),
+            }
+            assert tuple(d.m_value(e) for e in c.graph.edge_ids) == c.row
+            assert tuple(w.on_edge(e) for e in c.graph.edge_ids) == c.witness_row
+            assert d.graph is w.graph is c.graph and d.ell == w.ell == c.ell
+            assert c.vine == vine_notation(d)
+
+    def test_listing_builds_no_cochains(self, monkeypatch):
+        calls = Counter()
+        init = cochains._Cochain.__init__
+
+        def counted(self, *args):
+            calls[type(self).__name__] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cochains._Cochain, "__init__", counted)
+        classify_mod._classify_cached.cache_clear()
+        classes = classify_junior(7, max_edges=5)
+        assert len([class_row(c) for c in classes]) == 10985
+        assert not calls
+        assert classes[0].decorated is classes[0].decorated
+        assert classes[0].witness is classes[0].witness
+        assert calls == {"OneCochain": 1, "EvenFunction": 1}
+
+    def test_replace_keeps_a_given_witness(self):
+        c = classify_junior(5)[0]
+        w = c.witness.scale(2)
+        swapped = dataclasses.replace(c, witness=w)
+        assert swapped.witness is w and swapped.decorated == c.decorated
+        assert dataclasses.replace(c, age=c.age).witness == c.witness
 
 
 class TestPropK:
