@@ -272,7 +272,8 @@ def _classify_cached(
             raise SizeBoundExceeded(
                 f"{idxs.size} junior decorations on the base graph "
                 f"{list(g.edges.values())} exceed the bucketing bound "
-                f"BUCKET_BOUND = {BUCKET_BOUND}; restrict to maximal classes or fewer edges"
+                f"BUCKET_BOUND = {BUCKET_BOUND}; restrict to maximal classes or fewer edges",
+                "BUCKET_BOUND", BUCKET_BOUND, idxs.size,
             )
         if idxs.size:
             found.append((g, scan.decorations[idxs], scan.age_num[idxs],

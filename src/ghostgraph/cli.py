@@ -20,12 +20,11 @@ from . import props as props_mod
 from .classify import StratumClass, classify_junior
 from .decorated import (
     DecorationError,
+    _multidegree_table,
     admissible_k,
     decorated_to_dict,
     gamma0,
-    gamma_p,
     genus_labeling,
-    multidegree,
     parse_decorated,
     prime_factors,
     root_count,
@@ -33,9 +32,10 @@ from .decorated import (
 )
 from .ghosts import (
     INFINITE_AGE,
+    _contraction_chain,
     alpha_beta,
     is_prime,
-    stratum_age,
+    minimal_age_report,
     vine_witness,
 )
 from .graphs import SizeBoundExceeded, is_tree_like, separating_edges
@@ -74,7 +74,10 @@ def _check_digits(what: str, base: int, exp: int):
     except OverflowError:  # exp is past the float range
         digits, asked = math.inf, f"{what} = {base}^e has more than 10^308 digits"
     if digits > MAX_DIGITS:
-        raise SizeBoundExceeded(f"digit bound MAX_DIGITS = {MAX_DIGITS} exceeded: {asked}")
+        raise SizeBoundExceeded(
+            f"digit bound MAX_DIGITS = {MAX_DIGITS} exceeded: {asked}",
+            "MAX_DIGITS", MAX_DIGITS, digits,
+        )
 
 
 @contextlib.contextmanager
@@ -94,9 +97,12 @@ def _int_digits(limit: int):
 
 def build_report(d, k: Optional[int]) -> dict:
     ell = d.ell
-    # gamma0 hands a faithful graph back as it is, so passing d0 on contracts once
+    # gamma0, its bridges and the multidegree table are computed once here
+    # and handed to every helper that needs them
     d0 = gamma0(d)
     g0 = d0.graph
+    seps = separating_edges(g0)
+    table = _multidegree_table(d)
     fac = prime_factors(ell)
     prime = is_prime(ell)
     # size the printed powers of ell before any search; qr_order is at most
@@ -104,7 +110,7 @@ def build_report(d, k: Optional[int]) -> dict:
     if prime:
         _check_digits("ghost_group_order", ell, g0.n_vertices - 1)
     if k is not None:
-        labels = genus_labeling(d, k)
+        labels = genus_labeling(d, k, _table=table)
         g_total = None if labels is None else total_genus(d.with_genus(labels))
     else:
         g_total = None if d.genus is None else total_genus(d)
@@ -112,8 +118,10 @@ def build_report(d, k: Optional[int]) -> dict:
         _check_digits("root_count", ell, 2 * g_total)
     per_prime = {}
     for p in fac:
-        gp = gamma_p(d, p)
-        alphas, betas = alpha_beta(d, p)
+        # M = 0 is the only multiple of a prime ell below ell: Gamma_ell is gamma0
+        chain = [(g0, seps)] if prime else _contraction_chain(d0, p)
+        gp = chain[0][0]
+        alphas, betas = alpha_beta(d0, p, _chain=chain)
         per_prime[str(p)] = {
             "vertices": gp.n_vertices,
             "edges": gp.n_edges,
@@ -121,8 +129,6 @@ def build_report(d, k: Optional[int]) -> dict:
             "alpha": alphas,
             "beta": betas,
         }
-    dm = multidegree(d)
-    seps = sorted(separating_edges(g0))
     report = {
         "input": decorated_to_dict(d),
         "ell": ell,
@@ -132,7 +138,7 @@ def build_report(d, k: Optional[int]) -> dict:
                 {"id": e, "tail": t, "head": h, "m": d0.m_value(e)}
                 for e, (t, h) in sorted(g0.edges.items())
             ],
-            "separating_edges": seps,
+            "separating_edges": sorted(seps),
             "tree_like": is_tree_like(g0),
         },
         "per_prime": per_prime,
@@ -140,23 +146,24 @@ def build_report(d, k: Optional[int]) -> dict:
             info["tree_like"] for info in per_prime.values()
         ),
         "codimension": g0.n_edges,
-        "multidegree": {str(v): dm(v) for v in d.graph.vertices},
+        "multidegree": {str(v): dm for v, (dm, _) in table.items()},
     }
     if prime:
-        s_age = stratum_age(d0)
+        best = minimal_age_report(d0, _bridges=seps)
+        s_age = INFINITE_AGE if best is None else best.age
         # the orders of ghost_group(d0) and qr_subgroup(d0)
         report["ghost_group_order"] = ell ** (g0.n_vertices - 1)
         report["qr_order"] = ell ** len(seps)
         report["stratum_age"] = _rational(s_age)
         report["junior"] = s_age < 1
-        report["admissible_k"] = sorted(admissible_k(d))
+        report["admissible_k"] = sorted(admissible_k(d, _table=table))
     else:
         report["ghost_group_order"] = None
         report["qr_order"] = None
         report["stratum_age"] = None
         report["junior"] = None
         report["admissible_k"] = None
-    vw = vine_witness(d0)
+    vw = vine_witness(d0, _bridges=seps)
     report["vine_witness"] = (
         None
         if vw is None

@@ -162,10 +162,12 @@ def delta(a: ZeroCochain) -> OneCochain:
 
 def boundary(b: OneCochain) -> ZeroCochain:
     """(boundary b)(v) = sum of b over the darts pointing into v."""
-    g = b.graph
+    g, values = b.graph, b._values
     vals = {v: 0 for v in g.vertices}
-    for d in g.darts():
-        vals[g.head(d)] += b.on_dart(d)
+    # each edge's forward dart points into its head, the conjugate into its tail
+    for e, (t, h) in g._edges.items():
+        vals[h] += values[e]
+        vals[t] -= values[e]
     return ZeroCochain(g, b.ell, vals)
 
 
@@ -190,19 +192,37 @@ def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
     tset = _check_spanning_tree(g, t)
     if e not in tset:
         raise GraphError("cut edge must lie in the spanning tree")
-    return _cut(g, tset, e, ell)
-
-
-def _cut(g: Multigraph, tset: frozenset[int], e: int, ell: int) -> OneCochain:
     _, component = spanning_forest(g, tset - {e})
     head_side = component[g.ends(e)[1]]
     return delta(ZeroCochain(g, ell, {v: int(c == head_side) for v, c in component.items()}))
 
 
 def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
-    """One cut per tree edge; a basis of im delta (#V - 1 elements)."""
+    """One cut per tree edge; a basis of im delta (#V - 1 elements).
+
+    The tree is rooted once and numbered in preorder, so the subtree below
+    each tree edge is an interval of numbers, and the edge's cut is delta of
+    the subtree's indicator, negated when the edge points towards the root.
+    """
     tset = _check_spanning_tree(g, t)
-    return [_cut(g, tset, e, ell) for e in sorted(tset)]
+    order, parent, _ = _rooted_tree(g, tset)
+    up = {v: g.tail(parent[v]) for v in order[1:]}
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[up[v]] += size[v]
+    # the children of v take consecutive intervals after v's own number
+    start, free = {order[0]: 0}, {order[0]: 1}
+    for v in order[1:]:
+        start[v] = free[up[v]]
+        free[up[v]] += size[v]
+        free[v] = start[v] + 1
+    cuts = {}
+    for c in order[1:]:
+        e, s = parent[c]  # s = 0: e points from the parent into c
+        lo, hi = start[c], start[c] + size[c]
+        inside = {v: (1 - 2 * s) * (lo <= i < hi) for v, i in start.items()}
+        cuts[e] = delta(ZeroCochain(g, ell, inside))
+    return [cuts[e] for e in sorted(tset)]
 
 
 def circuit_sum(b, circuit: list[Dart]) -> int:

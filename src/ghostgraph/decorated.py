@@ -28,7 +28,8 @@ def prime_factors(ell: int) -> dict[int, int]:
     """Prime factorization as {p: exponent}, for 1 <= ell <= MAX_LEVEL."""
     if ell > MAX_LEVEL:
         raise SizeBoundExceeded(
-            f"level bound MAX_LEVEL = {MAX_LEVEL} exceeded: ell = {ell}"
+            f"level bound MAX_LEVEL = {MAX_LEVEL} exceeded: ell = {ell}",
+            "MAX_LEVEL", MAX_LEVEL, ell,
         )
     out: dict[int, int] = {}
     n = ell
@@ -143,18 +144,19 @@ def _solvable(table, step: int, k: int) -> bool:
     return all((dm - k * (n_v - 2)) % step == 0 for dm, n_v in table.values())
 
 
-def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
+def genus_labeling(d: DecoratedGraph, k: int, _table=None) -> Optional[dict[int, int]]:
     """Nonnegative genus labels satisfying the multidegree condition
 
         sum_{e into v} M(e) = k (2 g_v - 2 + N_v)  (mod ell)
 
     with N_v the number of half-edges at v.  Labels are the minimal
     residues, bumped by +ell at any genus-0 vertex of degree < 3 to keep
-    stability.  Returns None when no solution exists.
+    stability.  Returns None when no solution exists.  ``_table`` is
+    ``_multidegree_table(d)`` when the caller has it.
     """
     ell = d.ell
     k = k % ell
-    table = _multidegree_table(d)
+    table = _multidegree_table(d) if _table is None else _table
     step = math.gcd(2 * k, ell)
     if not _solvable(table, step, k):
         return None
@@ -172,12 +174,12 @@ def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
     return genus
 
 
-def admissible_k(d: DecoratedGraph) -> frozenset[int]:
+def admissible_k(d: DecoratedGraph, _table=None) -> frozenset[int]:
     """Every k in range(ell) for which genus_labeling(d, k) has a solution,
     from one multidegree for all k.  Solvability depends on k only through
     s = gcd(2k, ell) and k mod s, so the vertices are walked once per such
-    pair: twice at an odd prime level."""
-    table = _multidegree_table(d)
+    pair: twice at an odd prime level.  ``_table`` as in genus_labeling."""
+    table = _multidegree_table(d) if _table is None else _table
     solvable = functools.cache(lambda step, r: _solvable(table, step, r))
     return frozenset(
         k for k in range(d.ell) if solvable(step := math.gcd(2 * k, d.ell), k % step)

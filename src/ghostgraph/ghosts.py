@@ -27,11 +27,12 @@ from .decorated import (
     contract_decorated,
     gamma0,
     gamma_p,
-    gamma_nu,
     prime_factors,
 )
 from .graphs import (
+    Multigraph,
     SizeBoundExceeded,
+    contract_edges,
     is_tree_like,
     separating_edges,
     spanning_forest,
@@ -88,7 +89,8 @@ class GhostGroup:
         tuple over the generators."""
         if self.order > max_elements:
             raise SizeBoundExceeded(
-                f"group order {self.order} exceeds the expansion bound {max_elements}"
+                f"group order {self.order} exceeds the expansion bound {max_elements}",
+                "max_elements", max_elements, self.order,
             )
         g = self.decorated.graph
         ell = self.decorated.ell
@@ -147,19 +149,20 @@ class AgeReport:
     support_size: int
 
 
-def reduced_core(d: DecoratedGraph) -> DecoratedGraph:
+def reduced_core(d: DecoratedGraph, _bridges=None) -> DecoratedGraph:
     """gamma0 with its loops and separating edges contracted.
 
     One pass suffices: contracting bridges joins no edge's ends and leaves
-    every circuit intact, so it creates no loop and no bridge.
+    every circuit intact, so it creates no loop and no bridge.  ``_bridges``
+    is ``separating_edges`` of gamma0's graph when the caller has it.
     """
     core = gamma0(d)
-    drop = core.graph.loops() | separating_edges(core.graph)
+    drop = core.graph.loops() | (separating_edges(core.graph) if _bridges is None else _bridges)
     return contract_decorated(core, drop) if drop else core
 
 
 def minimal_age_report(
-    d: DecoratedGraph, max_elements: int = EXPANSION_BOUND
+    d: DecoratedGraph, max_elements: int = EXPANSION_BOUND, _bridges=None
 ) -> Optional[AgeReport]:
     """Minimum age over the non-identity ghosts a = delta(phi) * M^-1 of the
     reduced core (None when there are none), by depth-first branch-and-bound
@@ -169,10 +172,10 @@ def minimal_age_report(
     partial sum reaches the best found.  max_elements bounds the partial
     potentials visited, ell per assigned vertex, and the entries of the
     cost table, 2 ell per adjacent vertex pair; past it SizeBoundExceeded,
-    the table checked before it is built.
+    the table checked before it is built.  ``_bridges`` as in reduced_core.
     """
     _require_prime(d.ell)
-    core = reduced_core(d)
+    core = reduced_core(d, _bridges)
     g = core.graph
     ell = core.ell
     if g.n_vertices == 1:
@@ -181,7 +184,8 @@ def minimal_age_report(
     if ell * (g.n_vertices - 1) > max_elements:
         raise SizeBoundExceeded(
             f"age search exceeds its bound of {max_elements} partial potentials: "
-            f"its first descent visits ell * (#V - 1) = {ell * (g.n_vertices - 1)}"
+            f"its first descent visits ell * (#V - 1) = {ell * (g.n_vertices - 1)}",
+            "max_elements", max_elements, ell * (g.n_vertices - 1),
         )
     # the cost table below holds 2 ell entries per adjacent vertex pair, and
     # there are at most #E pairs: count them only when #E could pass the bound
@@ -191,7 +195,8 @@ def minimal_age_report(
             raise SizeBoundExceeded(
                 f"age search exceeds its bound of {max_elements} elements: its cost table "
                 f"holds 2 ell * (adjacent vertex pairs) = 2 * {ell} * {adjacent} = "
-                f"{2 * ell * adjacent} entries"
+                f"{2 * ell * adjacent} entries",
+                "max_elements", max_elements, 2 * ell * adjacent,
             )
     order = [g.vertices[0]]
     seen = set(order)
@@ -220,7 +225,8 @@ def minimal_age_report(
         if visited > max_elements:
             raise SizeBoundExceeded(
                 f"age search exceeds its bound of {max_elements} partial potentials: "
-                f"{visited} visited"
+                f"{visited} visited",
+                "max_elements", max_elements, visited,
             )
         rows = [row[ell - phi[j] : 2 * ell - phi[j]] for j, row in closing[i].items()]
         costs = [sum(c) for c in zip(*rows)]
@@ -261,35 +267,43 @@ def generated_by_qr(d: DecoratedGraph) -> bool:
     return all(is_tree_like(gamma_p(d, p)) for p in prime_factors(d.ell))
 
 
-def alpha_beta(d: DecoratedGraph, p: int) -> tuple[list[int], list[int]]:
+def alpha_beta(d: DecoratedGraph, p: int, _chain=None) -> tuple[list[int], list[int]]:
     """The vertex and separating-edge increments along the p-divisibility
     contraction chain, for k = 1 .. e_p.
 
     alpha_p^k = #V(Gamma(nu_p^{e_p-k+1})) - #V(Gamma(nu_p^{e_p-k})), with
     the k = e_p term taken against the single point; beta analogous with
-    separating-edge counts.
+    separating-edge counts.  ``_chain`` is ``_contraction_chain(d, p)`` when
+    the caller has it.
     """
-    fac = prime_factors(d.ell)
-    if p not in fac:
+    if p not in prime_factors(d.ell):
         raise DecorationError(f"{p} does not divide the level {d.ell}")
-    e_p = fac[p]
-
-    # (#V, #bridges) of Gamma(nu_p^j) for j = e_p .. 1, then the single point
-    stats = [
-        (g.n_vertices, len(separating_edges(g)))
-        for g in (gamma_nu(d, p, j) for j in range(e_p, 0, -1))
-    ] + [(1, 0)]
+    chain = _contraction_chain(d, p) if _chain is None else _chain
+    stats = [(g.n_vertices, len(bridges)) for g, bridges in chain] + [(1, 0)]
     alphas = [hi_v - lo_v for (hi_v, _), (lo_v, _) in zip(stats, stats[1:])]
     betas = [hi_s - lo_s for (_, hi_s), (_, lo_s) in zip(stats, stats[1:])]
     return alphas, betas
 
 
-def vine_witness(d: DecoratedGraph) -> Optional[tuple[frozenset[int], frozenset[int], int]]:
+def _contraction_chain(d: DecoratedGraph, p: int) -> list[tuple[Multigraph, frozenset[int]]]:
+    """Gamma(nu_p^j) and its bridges for j = e_p .. 1, each graph contracted
+    from the one before; the first is gamma_p(d, p)."""
+    g, chain = d.graph, []
+    for j in range(prime_factors(d.ell)[p], 0, -1):
+        g = contract_edges(g, [e for e in g.edge_ids if d.m_value(e) % p**j == 0]).graph
+        chain.append((g, separating_edges(g)))
+    return chain
+
+
+def vine_witness(
+    d: DecoratedGraph, _bridges=None
+) -> Optional[tuple[frozenset[int], frozenset[int], int]]:
     """A 2-part vertex partition of the faithful graph contracting onto an
-    n-vine with n >= 2, or None when the graph is tree-like."""
+    n-vine with n >= 2, or None when the graph is tree-like.  ``_bridges``
+    as in reduced_core."""
     d0 = gamma0(d)
     g = d0.graph
-    seps = separating_edges(g)
+    seps = separating_edges(g) if _bridges is None else _bridges
     e = min((e for e in g.edge_ids if not g.is_loop(e) and e not in seps), default=None)
     if e is None:  # tree-like
         return None

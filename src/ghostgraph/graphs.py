@@ -23,7 +23,12 @@ class GraphError(ValueError):
 
 
 class SizeBoundExceeded(RuntimeError):
-    """A configured enumeration or expansion bound was exceeded."""
+    """A configured enumeration or expansion bound was exceeded: ``bound``
+    names it, ``limit`` is its value and ``requested`` the size asked for."""
+
+    def __init__(self, message: str, bound: str, limit, requested):
+        super().__init__(message)
+        self.bound, self.limit, self.requested = bound, limit, requested
 
 
 class Multigraph:
@@ -92,7 +97,7 @@ class Multigraph:
         return t == h
 
     def loops(self) -> frozenset[int]:
-        return frozenset(e for e in self._edges if self.is_loop(e))
+        return frozenset(e for e, (t, h) in self._edges.items() if t == h)
 
     def conj(self, d: Dart) -> Dart:
         e, s = d
@@ -174,9 +179,12 @@ def contract_edges(g: Multigraph, f: Iterable[int]) -> Contraction:
     """Contract the edge set f; surviving edges keep their ids.
 
     Vertices merged along f are renamed to the smallest original id of
-    their merged class.  Loops created by the contraction are kept.
+    their merged class.  Loops created by the contraction are kept.  An
+    empty f gives g itself with the identity map.
     """
     fset = set(f)
+    if not fset:
+        return Contraction(g, {v: v for v in g._vertices})
     _, vertex_map = spanning_forest(g, fset)
     new_edges = {
         e: (vertex_map[t], vertex_map[h])
@@ -278,7 +286,7 @@ def betti1(g: Multigraph) -> int:
 def is_tree_like(g: Multigraph) -> bool:
     """True iff every circuit of g is a loop, i.e. the non-loop edges form a
     spanning tree of the connected graph g."""
-    return g.n_edges - len(g.loops()) == g.n_vertices - 1
+    return sum(t != h for t, h in g._edges.values()) == g.n_vertices - 1
 
 
 def _degree_orderings(g: Multigraph) -> list[tuple[int, ...]]:
@@ -288,7 +296,8 @@ def _degree_orderings(g: Multigraph) -> list[tuple[int, ...]]:
     if g.n_vertices > MAX_CODE_VERTICES:
         raise SizeBoundExceeded(
             f"canonical_code limited to {MAX_CODE_VERTICES} vertices, "
-            f"asked for {g.n_vertices}"
+            f"asked for {g.n_vertices}",
+            "MAX_CODE_VERTICES", MAX_CODE_VERTICES, g.n_vertices,
         )
     classes: dict[int, list[int]] = {}
     for i, v in enumerate(g.vertices):
@@ -443,7 +452,8 @@ def enumerate_base_graphs(
     if max_edges > MAX_CODE_VERTICES:
         raise SizeBoundExceeded(
             f"enumerate_base_graphs limited to {MAX_CODE_VERTICES} edges, "
-            f"asked for {max_edges}"
+            f"asked for {max_edges}",
+            "MAX_CODE_VERTICES", MAX_CODE_VERTICES, max_edges,
         )
     kept = []
     for nv in range(2, max_edges + 1):

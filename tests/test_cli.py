@@ -1,5 +1,7 @@
 """Command-line interface: reports, tables, snapshots, exit codes."""
 
+import functools
+import hashlib
 import json
 import math
 import os
@@ -13,10 +15,24 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ghostgraph import DecoratedGraph, Multigraph, genus_labeling, ghost_group, qr_subgroup
+from ghostgraph import (
+    DecoratedGraph,
+    Multigraph,
+    canonical_code,
+    classify_junior,
+    cochains,
+    enumerate_base_graphs,
+    gamma0,
+    genus_labeling,
+    ghost_group,
+    graphs,
+    minimal_age_report,
+    qr_subgroup,
+)
 from ghostgraph import props as props_mod
 from ghostgraph.cli import MAX_DIGITS, _int_digits, build_report, main
-from ghostgraph.decorated import MAX_LEVEL
+from ghostgraph.decorated import MAX_LEVEL, decorated_from_dict
+from ghostgraph.graphs import SizeBoundExceeded
 
 from oracles import connected_multigraphs, vine_stratum_age
 
@@ -513,3 +529,177 @@ class TestProps:
         b = CliRunner().invoke(main, args)
         assert a.output == b.output
         assert a.exit_code == 0
+
+
+REPORT_LEVELS = (5, 6, 7, 12, 13)
+
+
+def seeded_requests(n=300, seed=2017):
+    """n (decorated graph, k) pairs: 1-5 vertices, a random spanning tree
+    plus up to four random pairs (loops and parallel edges), either
+    orientation, M = 0 with probability 0.2, genus labels on about a third
+    and k = None on about a quarter."""
+    rng = random.Random(seed)
+    for i in range(n):
+        ell = REPORT_LEVELS[i % len(REPORT_LEVELS)]
+        nv = rng.randint(1, 5)
+        pairs = [(rng.randrange(v), v) for v in range(1, nv)]
+        pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 4))]
+        pairs = [p[::-1] if rng.random() < 0.5 else p for p in pairs]
+        m = {e: 0 if rng.random() < 0.2 else rng.randrange(1, ell) for e in range(len(pairs))}
+        genus = {v: rng.randrange(3) for v in range(nv)} if rng.random() < 0.3 else None
+        k = None if rng.random() < 0.25 else rng.randrange(-ell, 2 * ell)
+        yield DecoratedGraph.from_edge_values(Multigraph(range(nv), pairs), ell, m, genus), k
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name in every ghostgraph module that binds it; the
+    returned list collects the first argument of each call."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "ghostgraph" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestReportStructure:
+    def test_seeded_reports_pinned(self):
+        """The SHA-256 of 300 seeded reports as sorted-key JSON lines."""
+        texts = [json.dumps(build_report(d, k), sort_keys=True) for d, k in seeded_requests()]
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == (
+            "c749ae2e6636435d21bf3e9f6514a115dc65d6fe6316987d20b90ce3b0255e2f"
+        )
+
+    @pytest.mark.parametrize("ell, chain_lengths", [(5, ()), (12, (2, 1))])
+    def test_structural_facts_computed_once(self, monkeypatch, ell, chain_lengths):
+        # a zero edge, a loop, a bridge and a doubled edge: gamma0 is a
+        # triangle 0-1-2 with a loop at 0 and a pendant vertex 3
+        pairs = [(0, 1), (1, 2), (2, 0), (2, 0), (0, 0), (2, 3), (3, 4)]
+        g = Multigraph(range(5), pairs)
+        d = DecoratedGraph.from_edge_values(g, ell, {0: 1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 2, 6: 0})
+        bridges = count_calls(monkeypatch, graphs, "separating_edges")
+        boundaries = count_calls(monkeypatch, cochains, "boundary")
+        for _ in range(2):  # the same calls again: nothing is kept between reports
+            bridges.clear()
+            boundaries.clear()
+            report = build_report(d, 1)
+            assert report["gamma0"]["separating_edges"] == [5]
+            # gamma0's bridges, then those of each graph of each prime's chain
+            assert len(bridges) == 1 + sum(chain_lengths)
+            assert bridges[0] == gamma0(d).graph
+            assert boundaries == [d.m]
+
+
+def path_graph(n):
+    return Multigraph(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def graph_doc(ell, pairs, m, genus=None):
+    n = 1 + max(max(p) for p in pairs)
+    return {
+        "ell": ell,
+        "vertices": [{"id": v, "genus": None if genus is None else genus[v]} for v in range(n)],
+        "edges": [{"tail": t, "head": h, "m": x} for (t, h), x in zip(pairs, m)],
+    }
+
+
+def graph_decorated(ell, pairs, m):
+    return decorated_from_dict(graph_doc(ell, pairs, m))
+
+
+def doubled_cycle_report(max_elements):
+    g = Multigraph(range(5), [(i, (i + 1) % 5) for i in range(5)] * 2)
+    d = DecoratedGraph.from_edge_values(g, 11, {e: 1 + e for e in g.edge_ids})
+    return minimal_age_report(d, max_elements)
+
+
+CYCLE = [(i, (i + 1) % 120) for i in range(120)]
+K11 = [(i, j) for i in range(11) for j in range(i)]
+BUCKET_MESSAGE = (
+    "39420 junior decorations on the base graph [(0, 2), (0, 2), (1, 2), (1, 2), "
+    "(1, 2), (1, 2)] exceed the bucketing bound BUCKET_BOUND = 20000; restrict to "
+    "maximal classes or fewer edges"
+)
+
+
+# every raise site of SizeBoundExceeded: a call that reaches it (an analyze
+# document, or a callable and the command line that reaches it, if any),
+# the (bound, limit, requested) it carries and its message
+BOUND_SITES = [
+    pytest.param(
+        lambda: canonical_code(path_graph(9)), None,
+        ("MAX_CODE_VERTICES", 8, 9), "canonical_code limited to 8 vertices, asked for 9",
+        id="code-vertices",
+    ),
+    pytest.param(
+        lambda: enumerate_base_graphs(9), ["classify", "--ell", "7", "--max-edges", "9"],
+        ("MAX_CODE_VERTICES", 8, 9), "enumerate_base_graphs limited to 8 edges, asked for 9",
+        id="base-graph-edges",
+    ),
+    pytest.param(
+        graph_doc(MAX_LEVEL + 1, [(0, 1), (0, 1)], [1, 2]), None,
+        ("MAX_LEVEL", MAX_LEVEL, MAX_LEVEL + 1),
+        f"level bound MAX_LEVEL = {MAX_LEVEL} exceeded: ell = {MAX_LEVEL + 1}",
+        id="level",
+    ),
+    pytest.param(
+        graph_doc(5, [(0, 1)] * 3, [1, 1, 3], {0: 100000, 1: 0}), None,
+        ("MAX_DIGITS", MAX_DIGITS, 139797),
+        f"digit bound MAX_DIGITS = {MAX_DIGITS} exceeded: root_count = 5^200004 has 139797 digits",
+        id="digits",
+    ),
+    pytest.param(
+        lambda: list(ghost_group(graph_decorated(5, [(0, 1)] * 2, [1, 2])).elements(4)), None,
+        ("max_elements", 4, 5), "group order 5 exceeds the expansion bound 4",
+        id="group-elements",
+    ),
+    pytest.param(
+        graph_doc(100003, CYCLE, [1] * 120), None,
+        ("max_elements", 10**7, 100003 * 119),
+        "age search exceeds its bound of 10000000 partial potentials: its first descent "
+        f"visits ell * (#V - 1) = {100003 * 119}",
+        id="age-first-descent",
+    ),
+    pytest.param(
+        graph_doc(100003, K11, [1] * 55), None,
+        ("max_elements", 10**7, 2 * 100003 * 55),
+        "age search exceeds its bound of 10000000 elements: its cost table holds "
+        f"2 ell * (adjacent vertex pairs) = 2 * 100003 * 55 = {2 * 100003 * 55} entries",
+        id="age-cost-table",
+    ),
+    pytest.param(
+        lambda: doubled_cycle_report(110), None,
+        ("max_elements", 110, 121),
+        "age search exceeds its bound of 110 partial potentials: 121 visited",
+        id="age-visited",
+    ),
+    pytest.param(
+        lambda: classify_junior(7, only_maximal=False), ["classify", "--ell", "7", "--all"],
+        ("BUCKET_BOUND", 20000, 39420), BUCKET_MESSAGE,
+        id="bucket",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, argv, attributes, message", BOUND_SITES)
+def test_size_bound_attributes(tmp_path, call, argv, attributes, message):
+    if isinstance(call, dict):  # an analyze document
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(call))
+        argv = ["analyze", str(path), "--json"]
+        call = functools.partial(build_report, decorated_from_dict(call), None)
+    with pytest.raises(SizeBoundExceeded) as info:
+        call()
+    assert (info.value.bound, info.value.limit, info.value.requested) == attributes
+    assert str(info.value) == message
+    if argv is not None:
+        result = CliRunner().invoke(main, argv)
+        assert result.exit_code == 4
+        assert result.stdout == ""
+        assert result.stderr == f"resource bound: {message}\n"

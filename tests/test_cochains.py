@@ -1,5 +1,7 @@
 """Z/ell cochain algebra: operators, pairings, cuts, image of delta."""
 
+import random
+
 import pytest
 
 from ghostgraph import (
@@ -18,6 +20,7 @@ from ghostgraph import (
     solve_delta,
     spanning_tree,
 )
+from ghostgraph.graphs import spanning_forest
 
 from oracles import brute_in_image_delta, connected_multigraphs, image_delta_set
 
@@ -209,6 +212,20 @@ class TestCuts:
                 c = cut(g, t, e, 5)
                 assert c == delta(indicator)
                 assert c.on_edge(e) == 1
+
+    @pytest.mark.parametrize("ell", [2, 5, 7, 12])
+    def test_basis_matches_single_cuts(self, ell):
+        # random trees of random multigraphs with loops and parallel edges,
+        # tails and heads in either order
+        rng = random.Random(ell)
+        for _ in range(60):
+            nv = rng.randint(1, 9)
+            pairs = [(rng.randrange(v), v) for v in range(1, nv)]
+            pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 8))]
+            pairs += pairs[: rng.randint(0, 2)]
+            g = Multigraph(range(nv), [p[::-1] if rng.random() < 0.5 else p for p in pairs])
+            t, _ = spanning_forest(g, rng.sample(g.edge_ids, g.n_edges))
+            assert cut_basis(g, t, ell) == [cut(g, t, e, ell) for e in sorted(t)]
 
     def test_basis_size_and_membership(self):
         for g in connected_multigraphs(4):
