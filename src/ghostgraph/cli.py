@@ -49,9 +49,7 @@ EXIT_BOUND = 4
 MAX_DIGITS = 100_000
 
 
-def _rational(x) -> Optional[str]:
-    if x is None:
-        return None
+def _rational(x) -> str:
     if x == INFINITE_AGE:
         return "inf"
     return f"{Fraction(x).numerator}/{Fraction(x).denominator}"

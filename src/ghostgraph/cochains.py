@@ -15,7 +15,6 @@ from .graphs import (
     Dart,
     GraphError,
     Multigraph,
-    fundamental_circuits,
     spanning_forest,
     spanning_tree,
     _check_spanning_tree,
@@ -200,9 +199,9 @@ def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
 def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
     """One cut per tree edge; a basis of im delta (#V - 1 elements).
 
-    The tree is rooted once and numbered in preorder, so the subtree below
-    each tree edge is an interval of numbers, and the edge's cut is delta of
-    the subtree's indicator, negated when the edge points towards the root.
+    The tree is rooted once and numbered in preorder.  The cut of a tree
+    edge is delta of the indicator of the interval of numbers below it,
+    negated when the edge points towards the root.
     """
     tset = _check_spanning_tree(g, t)
     order, parent, _ = _rooted_tree(g, tset)
@@ -220,8 +219,10 @@ def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
     for c in order[1:]:
         e, s = parent[c]  # s = 0: e points from the parent into c
         lo, hi = start[c], start[c] + size[c]
-        inside = {v: (1 - 2 * s) * (lo <= i < hi) for v, i in start.items()}
-        cuts[e] = delta(ZeroCochain(g, ell, inside))
+        cuts[e] = OneCochain(g, ell, {
+            f: (1 - 2 * s) * ((lo <= start[h] < hi) - (lo <= start[t] < hi))
+            for f, (t, h) in g._edges.items()
+        })
     return [cuts[e] for e in sorted(tset)]
 
 
@@ -229,15 +230,9 @@ def circuit_sum(b, circuit: list[Dart]) -> int:
     return sum(b.on_dart(d) for d in circuit) % b.ell
 
 
-def in_image_delta(b: OneCochain) -> bool:
-    """True iff every fundamental circuit sum of b vanishes."""
-    g = b.graph
-    t = spanning_tree(g)
-    return all(circuit_sum(b, c) == 0 for c in fundamental_circuits(g, t))
-
-
-def solve_delta(b: OneCochain) -> ZeroCochain:
-    """A potential a with delta a = b, normalized to 0 at the lowest vertex."""
+def _tree_potential(b: OneCochain) -> ZeroCochain:
+    """The potential that agrees with b on spanning_tree(g), 0 at the lowest
+    vertex: b lies in im delta exactly when delta of it equals b."""
     g = b.graph
     # spanning_tree is valid by construction: root it unchecked
     order, parent, _ = _rooted_tree(g, spanning_tree(g))
@@ -245,7 +240,17 @@ def solve_delta(b: OneCochain) -> ZeroCochain:
     for v in order[1:]:
         d = parent[v]
         vals[v] = (vals[g.tail(d)] + b.on_dart(d)) % b.ell
-    a = ZeroCochain(g, b.ell, vals)
+    return ZeroCochain(g, b.ell, vals)
+
+
+def in_image_delta(b: OneCochain) -> bool:
+    """True iff b lies in im delta, i.e. sums to 0 over every circuit."""
+    return delta(_tree_potential(b)) == b
+
+
+def solve_delta(b: OneCochain) -> ZeroCochain:
+    """A potential a with delta a = b, normalized to 0 at the lowest vertex."""
+    a = _tree_potential(b)
     if delta(a) != b:
         raise CochainError("cochain is not in the image of delta")
     return a

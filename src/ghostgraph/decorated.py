@@ -70,11 +70,11 @@ class DecoratedGraph:
         return self.m.on_edge(e)
 
     def zero_edges(self) -> frozenset[int]:
-        return frozenset(e for e in self.graph.edge_ids if self.m_value(e) == 0)
+        return frozenset(self.graph.edge_ids) - self.m.support()
 
     def is_faithful(self) -> bool:
         """True when no edge carries a trivial stabilizer (M(e) = 0)."""
-        return not self.zero_edges()
+        return len(self.m.support()) == self.graph.n_edges
 
     def with_genus(self, genus: Optional[dict[int, int]]) -> "DecoratedGraph":
         return DecoratedGraph(self.graph, self.ell, self.m, genus)

@@ -26,13 +26,13 @@ from .decorated import (
     DecorationError,
     contract_decorated,
     gamma0,
+    gamma_nu,
     gamma_p,
     prime_factors,
 )
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
-    contract_edges,
     is_tree_like,
     separating_edges,
     spanning_forest,
@@ -54,7 +54,7 @@ def _require_prime(ell: int):
 
 
 def lifts(a: EvenFunction, d: DecoratedGraph) -> bool:
-    """True iff the odd cochain a*M lies in im delta (circuit test)."""
+    """True iff the odd cochain a*M lies in im delta (tree-potential test)."""
     _require_prime(d.ell)
     if not d.is_faithful():
         raise DecorationError("decorated graph must be faithful; apply gamma0 first")
@@ -286,13 +286,9 @@ def alpha_beta(d: DecoratedGraph, p: int, _chain=None) -> tuple[list[int], list[
 
 
 def _contraction_chain(d: DecoratedGraph, p: int) -> list[tuple[Multigraph, frozenset[int]]]:
-    """Gamma(nu_p^j) and its bridges for j = e_p .. 1, each graph contracted
-    from the one before; the first is gamma_p(d, p)."""
-    g, chain = d.graph, []
-    for j in range(prime_factors(d.ell)[p], 0, -1):
-        g = contract_edges(g, [e for e in g.edge_ids if d.m_value(e) % p**j == 0]).graph
-        chain.append((g, separating_edges(g)))
-    return chain
+    """Gamma(nu_p^j) and its bridges for j = e_p .. 1; the first is gamma_p(d, p)."""
+    chain = [gamma_nu(d, p, j) for j in range(prime_factors(d.ell)[p], 0, -1)]
+    return [(g, separating_edges(g)) for g in chain]
 
 
 def vine_witness(

@@ -6,6 +6,7 @@ import pytest
 
 from ghostgraph import (
     CochainError,
+    DecoratedGraph,
     EvenFunction,
     Multigraph,
     OneCochain,
@@ -14,12 +15,15 @@ from ghostgraph import (
     cut,
     cut_basis,
     delta,
+    fundamental_circuits,
     in_image_delta,
+    lifts,
     pairing,
     solve_boundary,
     solve_delta,
     spanning_tree,
 )
+from ghostgraph.cochains import circuit_sum
 from ghostgraph.graphs import spanning_forest
 
 from oracles import brute_in_image_delta, connected_multigraphs, image_delta_set
@@ -185,6 +189,16 @@ def reachable(g, edges, start):
     return seen
 
 
+def random_multigraph(rng):
+    """A connected multigraph on 1 to 9 vertices with loops and parallel
+    edges, tails and heads in either order."""
+    nv = rng.randint(1, 9)
+    pairs = [(rng.randrange(v), v) for v in range(1, nv)]
+    pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 8))]
+    pairs += pairs[: rng.randint(0, 2)]
+    return Multigraph(range(nv), [p[::-1] if rng.random() < 0.5 else p for p in pairs])
+
+
 class TestCuts:
     def test_vine_cut(self):
         g = vine(2)
@@ -215,15 +229,10 @@ class TestCuts:
 
     @pytest.mark.parametrize("ell", [2, 5, 7, 12])
     def test_basis_matches_single_cuts(self, ell):
-        # random trees of random multigraphs with loops and parallel edges,
-        # tails and heads in either order
+        # random trees of random multigraphs with loops and parallel edges
         rng = random.Random(ell)
         for _ in range(60):
-            nv = rng.randint(1, 9)
-            pairs = [(rng.randrange(v), v) for v in range(1, nv)]
-            pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 8))]
-            pairs += pairs[: rng.randint(0, 2)]
-            g = Multigraph(range(nv), [p[::-1] if rng.random() < 0.5 else p for p in pairs])
+            g = random_multigraph(rng)
             t, _ = spanning_forest(g, rng.sample(g.edge_ids, g.n_edges))
             assert cut_basis(g, t, ell) == [cut(g, t, e, ell) for e in sorted(t)]
 
@@ -251,6 +260,41 @@ class TestInImageDelta:
             for vals in itertools.product(range(ell), repeat=g.n_edges):
                 b = OneCochain(g, ell, dict(zip([e for e, _ in edge_list], vals)))
                 assert in_image_delta(b) == (vals in image)
+
+    @pytest.mark.parametrize("ell", [2, 5, 6, 12])
+    def test_matches_circuit_definition(self, ell):
+        # b lies in im delta iff it sums to 0 over every fundamental circuit;
+        # random multigraphs with loops and parallel edges, half the cochains exact
+        rng = random.Random(ell)
+        for _ in range(60):
+            g = random_multigraph(rng)
+            circuits = fundamental_circuits(g, spanning_tree(g))
+            b = OneCochain(g, ell, {e: rng.randrange(ell) for e in g.edge_ids})
+            if rng.random() < 0.5:
+                b = delta(ZeroCochain(g, ell, {v: rng.randrange(ell) for v in g.vertices}))
+            assert in_image_delta(b) == all(circuit_sum(b, c) == 0 for c in circuits)
+
+    def test_long_path_with_parallel_chords(self):
+        # a 1,000-vertex path and 1,000 chords joining its ends: the
+        # fundamental circuits have total length about 10^6, one tree walk 2,000
+        n, ell = 1000, 7
+        g = Multigraph(range(n), [(v, v + 1) for v in range(n - 1)] + [(0, n - 1)] * 1000)
+        rng = random.Random(0)
+        phi = ZeroCochain(g, ell, {v: rng.randrange(ell) for v in g.vertices})
+        phi -= ZeroCochain(g, ell, dict.fromkeys(g.vertices, phi(0)))
+        b = delta(phi)
+        assert in_image_delta(b)
+        assert solve_delta(b) == phi
+        chord = rng.randrange(n - 1, g.n_edges)
+        broken = b + OneCochain(g, ell, {e: int(e == chord) for e in g.edge_ids})
+        assert not in_image_delta(broken)
+        with pytest.raises(CochainError):
+            solve_delta(broken)
+        m = OneCochain(g, ell, {e: rng.randrange(1, ell) for e in g.edge_ids})
+        d = DecoratedGraph(g, ell, m)
+        for c in (b, broken):
+            ghost = {e: c.on_edge(e) * pow(m.on_edge(e), -1, ell) for e in g.edge_ids}
+            assert lifts(EvenFunction(g, ell, ghost), d) == in_image_delta(c)
 
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_image_size(self, ell):
