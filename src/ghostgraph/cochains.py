@@ -18,6 +18,7 @@ from .graphs import (
     spanning_forest,
     spanning_tree,
     _check_spanning_tree,
+    _intervals,
     _rooted_tree,
 )
 
@@ -156,7 +157,7 @@ class EvenFunction(_EdgeFunction):
 def delta(a: ZeroCochain) -> OneCochain:
     """(delta a)(e) = a(head) - a(tail) on every dart."""
     g, values = a.graph, a._values
-    return OneCochain(g, a.ell, {e: values[h] - values[t] for e, (t, h) in g._edges.items()})
+    return OneCochain(g, a.ell, {e: values[h] - values[t] for e, (t, h) in g.edges.items()})
 
 
 def boundary(b: OneCochain) -> ZeroCochain:
@@ -164,7 +165,7 @@ def boundary(b: OneCochain) -> ZeroCochain:
     g, values = b.graph, b._values
     vals = {v: 0 for v in g.vertices}
     # each edge's forward dart points into its head, the conjugate into its tail
-    for e, (t, h) in g._edges.items():
+    for e, (t, h) in g.edges.items():
         vals[h] += values[e]
         vals[t] -= values[e]
     return ZeroCochain(g, b.ell, vals)
@@ -205,23 +206,13 @@ def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
     """
     tset = _check_spanning_tree(g, t)
     order, parent, _ = _rooted_tree(g, tset)
-    up = {v: g.tail(parent[v]) for v in order[1:]}
-    size = dict.fromkeys(order, 1)
-    for v in reversed(order[1:]):
-        size[up[v]] += size[v]
-    # the children of v take consecutive intervals after v's own number
-    start, free = {order[0]: 0}, {order[0]: 1}
-    for v in order[1:]:
-        start[v] = free[up[v]]
-        free[up[v]] += size[v]
-        free[v] = start[v] + 1
+    start, size = _intervals(g, order, parent)
     cuts = {}
-    for c in order[1:]:
-        e, s = parent[c]  # s = 0: e points from the parent into c
+    for c, (e, s) in parent.items():  # s = 0: e points from the parent into c
         lo, hi = start[c], start[c] + size[c]
         cuts[e] = OneCochain(g, ell, {
             f: (1 - 2 * s) * ((lo <= start[h] < hi) - (lo <= start[t] < hi))
-            for f, (t, h) in g._edges.items()
+            for f, (t, h) in g.edges.items()
         })
     return [cuts[e] for e in sorted(tset)]
 
@@ -231,14 +222,12 @@ def circuit_sum(b, circuit: list[Dart]) -> int:
 
 
 def _tree_potential(b: OneCochain) -> ZeroCochain:
-    """The potential that agrees with b on spanning_tree(g), 0 at the lowest
-    vertex: b lies in im delta exactly when delta of it equals b."""
+    """The potential that agrees with b on the BFS tree over every edge, 0
+    at the lowest vertex: b lies in im delta exactly when delta of it equals b."""
     g = b.graph
-    # spanning_tree is valid by construction: root it unchecked
-    order, parent, _ = _rooted_tree(g, spanning_tree(g))
+    order, parent, _ = _rooted_tree(g, g.edges)
     vals = {order[0]: 0}
-    for v in order[1:]:
-        d = parent[v]
+    for v, d in parent.items():
         vals[v] = (vals[g.tail(d)] + b.on_dart(d)) % b.ell
     return ZeroCochain(g, b.ell, vals)
 
@@ -266,15 +255,14 @@ def solve_boundary(d0: ZeroCochain) -> OneCochain:
     if sum(d0(v) for v in g.vertices) % ell != 0:
         raise CochainError("total sum nonzero: no solution")
     # spanning_tree is valid by construction: root it unchecked
-    order, parent, _ = _rooted_tree(g, spanning_tree(g))
+    _, parent, _ = _rooted_tree(g, spanning_tree(g))
     remaining = d0.as_dict()
     vals = {e: 0 for e in g.edge_ids}
     # deepest first, each vertex settles its need on the edge from its parent
-    for v in reversed(order[1:]):
-        e, s = parent[v]
+    for v, (e, s) in reversed(parent.items()):
         # orient what v still needs into v; the parent gives it up
         vals[e] = remaining[v] if s == 0 else -remaining[v]
-        remaining[g.tail(parent[v])] += remaining[v]
+        remaining[g.tail((e, s))] += remaining[v]
     m = OneCochain(g, ell, vals)
     if boundary(m) != d0:
         raise CochainError("internal error: boundary solve failed")

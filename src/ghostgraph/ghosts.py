@@ -187,17 +187,6 @@ def minimal_age_report(
             f"its first descent visits ell * (#V - 1) = {ell * (g.n_vertices - 1)}",
             "max_elements", max_elements, ell * (g.n_vertices - 1),
         )
-    # the cost table below holds 2 ell entries per adjacent vertex pair, and
-    # there are at most #E pairs: count them only when #E could pass the bound
-    if 2 * ell * g.n_edges > max_elements:
-        adjacent = len({frozenset(ends) for ends in g.edges.values()})
-        if 2 * ell * adjacent > max_elements:
-            raise SizeBoundExceeded(
-                f"age search exceeds its bound of {max_elements} elements: its cost table "
-                f"holds 2 ell * (adjacent vertex pairs) = 2 * {ell} * {adjacent} = "
-                f"{2 * ell * adjacent} entries",
-                "max_elements", max_elements, 2 * ell * adjacent,
-            )
     order = [g.vertices[0]]
     seen = set(order)
     for v in order:
@@ -205,16 +194,26 @@ def minimal_age_report(
             seen.add(w)
             order.append(w)
     pos = {v: i for i, v in enumerate(order)}
-    # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
-    # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
-    closing: list[dict[int, list[int]]] = [{} for _ in order]
+    # inverses[i, j]: M^-1 read from j to i on the edges joining vertex i to
+    # an earlier vertex j; the cost table holds 2 ell entries per such pair
+    inverses: dict[tuple[int, int], list[int]] = {}
     for e, (t, h) in g.edges.items():
         i, j, k = pos[h], pos[t], pow(core.m_value(e), -1, ell)
         if i < j:
             i, j, k = j, i, -k
-        row = closing[i].setdefault(j, [0] * (2 * ell))
-        for x in range(2 * ell):
-            row[x] += x * k % ell
+        inverses.setdefault((i, j), []).append(k)
+    if 2 * ell * (adjacent := len(inverses)) > max_elements:
+        raise SizeBoundExceeded(
+            f"age search exceeds its bound of {max_elements} elements: its cost table "
+            f"holds 2 ell * (adjacent vertex pairs) = 2 * {ell} * {adjacent} = "
+            f"{2 * ell * adjacent} entries",
+            "max_elements", max_elements, 2 * ell * adjacent,
+        )
+    # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
+    # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
+    closing: list[dict[int, list[int]]] = [{} for _ in order]
+    for (i, j), ks in inverses.items():
+        closing[i][j] = [sum(x * k % ell for k in ks) for x in range(ell)] * 2
     phi = [0] * len(order)
     best_sum, best_phi, visited = math.inf, phi, 0
 

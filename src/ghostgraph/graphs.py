@@ -11,6 +11,7 @@ encoder when it runs.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 Dart = tuple[int, int]
@@ -71,8 +72,8 @@ class Multigraph:
         return self._vertices
 
     @property
-    def edges(self) -> dict[int, tuple[int, int]]:
-        return dict(self._edges)
+    def edges(self) -> Mapping[int, tuple[int, int]]:
+        return MappingProxyType(self._edges)
 
     @property
     def edge_ids(self) -> tuple[int, ...]:
@@ -195,32 +196,28 @@ def contract_edges(g: Multigraph, f: Iterable[int]) -> Contraction:
 
 
 def separating_edges(g: Multigraph) -> frozenset[int]:
-    """The bridges of g: the spanning-tree edges on no fundamental circuit.
-
-    A tree edge that is not a bridge is crossed by some non-tree edge, whose
-    circuit then runs through it.  Loops and parallel edges are never bridges.
-    Each circuit climbs from its ends towards their meeting point, jumping
-    over tree edges already covered, so every tree edge is covered once.
-    """
-    tset = spanning_tree(g)
-    _, parent, depth = _rooted_tree(g, tset)
-    # find(v): the highest vertex that v reaches by climbing covered tree edges
-    top = {v: v for v in g.vertices}
-
-    def find(v: int) -> int:
-        while top[v] != v:
-            top[v] = v = top[top[v]]
-        return v
-
-    bridges = set(tset)
-    for e in g._edges.keys() - tset:
-        x, y = g._edges[e]
-        while (x := find(x)) != (y := find(y)):
-            if depth[x] < depth[y]:
-                x, y = y, x
-            f, s = parent[x]
-            bridges.discard(f)
-            top[x] = g._edges[f][s]
+    """The bridges of g (Tarjan 1974): the BFS tree's edge into c is one
+    exactly when no other edge leaves the preorder interval below c.  Loops
+    and parallel edges never are."""
+    order, parent, _ = _rooted_tree(g, g._edges)
+    start, size = _intervals(g, order, parent)
+    # low[v], high[v]: the least and greatest number reached from below v by
+    # an edge other than the one into v (tree edges down stay in the interval)
+    low, high = dict(start), dict(start)
+    bridges = []
+    for c, (e, s) in reversed(parent.items()):
+        lo, hi = low[c], high[c]
+        for f, r in g._darts[c]:
+            if f != e:
+                y = start[g._edges[f][1 - r]]
+                if y < lo:
+                    lo = y
+                elif y > hi:
+                    hi = y
+        if start[c] <= lo and hi < start[c] + size[c]:
+            bridges.append(e)
+        p = g._edges[e][s]
+        low[p], high[p] = min(low[p], lo), max(high[p], hi)
     return frozenset(bridges)
 
 
@@ -254,6 +251,22 @@ def _rooted_tree(
                 parent[y], depth[y] = (e, s), depth[x] + 1
                 order.append(y)
     return order, parent, depth
+
+
+def _intervals(g: Multigraph, order: list[int], parent: dict[int, Dart]):
+    """Preorder numbers of the tree that ``_rooted_tree`` roots: the subtree
+    below v takes the numbers [start[v], start[v] + size[v])."""
+    up = {v: g._edges[e][s] for v, (e, s) in parent.items()}
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[up[v]] += size[v]
+    # the children of v take consecutive intervals after v's own number
+    start, free = {order[0]: 0}, {order[0]: 1}
+    for v in order[1:]:
+        start[v] = free[up[v]]
+        free[up[v]] += size[v]
+        free[v] = start[v] + 1
+    return start, size
 
 
 def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:

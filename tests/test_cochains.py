@@ -19,14 +19,17 @@ from ghostgraph import (
     in_image_delta,
     lifts,
     pairing,
+    separating_edges,
     solve_boundary,
     solve_delta,
     spanning_tree,
 )
+from ghostgraph import graphs
 from ghostgraph.cochains import circuit_sum
 from ghostgraph.graphs import spanning_forest
 
 from oracles import brute_in_image_delta, connected_multigraphs, image_delta_set
+from test_cli import count_calls
 
 
 def vine(n):
@@ -295,6 +298,18 @@ class TestInImageDelta:
         for c in (b, broken):
             ghost = {e: c.on_edge(e) * pow(m.on_edge(e), -1, ell) for e in g.edge_ids}
             assert lifts(EvenFunction(g, ell, ghost), d) == in_image_delta(c)
+
+    def test_no_union_find_pass(self, monkeypatch):
+        # bridges and exactness root the BFS tree: no spanning_forest pass
+        g = Multigraph(range(3), [(0, 0), (0, 1), (0, 1), (1, 2)])
+        phi = ZeroCochain(g, 5, {0: 0, 1: 2, 2: 4})
+        calls = count_calls(monkeypatch, graphs, "spanning_forest")
+        assert separating_edges(g) == {3}
+        assert in_image_delta(delta(phi))
+        assert solve_delta(delta(phi)) == phi
+        assert calls == []
+        spanning_tree(g)
+        assert calls == [g]
 
     @pytest.mark.parametrize("ell", [2, 3, 5])
     def test_image_size(self, ell):

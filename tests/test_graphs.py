@@ -1,6 +1,7 @@
 """Multigraph structure: contraction, bridges, trees, circuits, codes."""
 
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -12,6 +13,7 @@ from ghostgraph import (
     betti1,
     canonical_code,
     contract_edges,
+    cut,
     enumerate_base_graphs,
     fundamental_circuits,
     is_tree_like,
@@ -93,6 +95,13 @@ class TestIncidence:
         with pytest.raises(GraphError):
             vine(2).darts_at(5)
 
+    def test_edges_read_only(self):
+        g = barbell()
+        with pytest.raises(TypeError):
+            g.edges[0] = (1, 0)
+        assert g.ends(0) == (0, 1)
+        assert pickle.loads(pickle.dumps(g)) == g
+
 
 class TestContraction:
     def test_triangle_one_edge(self):
@@ -160,6 +169,14 @@ class TestSeparatingEdges:
     )
     def test_matches_removal_oracle(self, g):
         assert separating_edges(g) == brute_bridges(g)
+
+    @pytest.mark.parametrize(
+        "g", connected_multigraphs(4) + [random_graph(seed) for seed in range(30)]
+    )
+    def test_single_edge_cuts(self, g):
+        # a bridge is a tree edge whose cut is supported on it alone
+        t = spanning_tree(g)
+        assert separating_edges(g) == {e for e in t if cut(g, t, e, 5).support() == {e}}
 
 
 class TestSpanningTree:
