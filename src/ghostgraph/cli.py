@@ -95,12 +95,10 @@ def _int_digits(limit: int):
 
 def build_report(d, k: Optional[int]) -> dict:
     ell = d.ell
-    # gamma0, its bridges and the multidegree table are computed once here
-    # and handed to every helper that needs them
+    # gamma0 is built once here; its graph keeps its bridges and d keeps
+    # its multidegree table for every helper that asks again
     d0 = gamma0(d)
     g0 = d0.graph
-    seps = separating_edges(g0)
-    table = _multidegree_table(d)
     fac = prime_factors(ell)
     prime = is_prime(ell)
     # size the printed powers of ell before any search; qr_order is at most
@@ -108,7 +106,7 @@ def build_report(d, k: Optional[int]) -> dict:
     if prime:
         _check_digits("ghost_group_order", ell, g0.n_vertices - 1)
     if k is not None:
-        labels = genus_labeling(d, k, _table=table)
+        labels = genus_labeling(d, k)
         g_total = None if labels is None else total_genus(d.with_genus(labels))
     else:
         g_total = None if d.genus is None else total_genus(d)
@@ -117,8 +115,8 @@ def build_report(d, k: Optional[int]) -> dict:
     per_prime = {}
     for p in fac:
         # M = 0 is the only multiple of a prime ell below ell: Gamma_ell is gamma0
-        chain = [(g0, seps)] if prime else _contraction_chain(d0, p)
-        gp = chain[0][0]
+        chain = [g0] if prime else _contraction_chain(d0, p)
+        gp = chain[0]
         alphas, betas = alpha_beta(d0, p, _chain=chain)
         per_prime[str(p)] = {
             "vertices": gp.n_vertices,
@@ -136,7 +134,7 @@ def build_report(d, k: Optional[int]) -> dict:
                 {"id": e, "tail": t, "head": h, "m": d0.m_value(e)}
                 for e, (t, h) in sorted(g0.edges.items())
             ],
-            "separating_edges": sorted(seps),
+            "separating_edges": sorted(separating_edges(g0)),
             "tree_like": is_tree_like(g0),
         },
         "per_prime": per_prime,
@@ -144,24 +142,24 @@ def build_report(d, k: Optional[int]) -> dict:
             info["tree_like"] for info in per_prime.values()
         ),
         "codimension": g0.n_edges,
-        "multidegree": {str(v): dm for v, (dm, _) in table.items()},
+        "multidegree": {str(v): dm for v, (dm, _) in _multidegree_table(d).items()},
     }
     if prime:
-        best = minimal_age_report(d0, _bridges=seps)
+        best = minimal_age_report(d0)
         s_age = INFINITE_AGE if best is None else best.age
         # the orders of ghost_group(d0) and qr_subgroup(d0)
         report["ghost_group_order"] = ell ** (g0.n_vertices - 1)
-        report["qr_order"] = ell ** len(seps)
+        report["qr_order"] = ell ** len(separating_edges(g0))
         report["stratum_age"] = _rational(s_age)
         report["junior"] = s_age < 1
-        report["admissible_k"] = sorted(admissible_k(d, _table=table))
+        report["admissible_k"] = sorted(admissible_k(d))
     else:
         report["ghost_group_order"] = None
         report["qr_order"] = None
         report["stratum_age"] = None
         report["junior"] = None
         report["admissible_k"] = None
-    vw = vine_witness(d0, _bridges=seps)
+    vw = vine_witness(d0)
     report["vine_witness"] = (
         None
         if vw is None

@@ -133,9 +133,12 @@ def multidegree(d: DecoratedGraph) -> ZeroCochain:
 
 
 def _multidegree_table(d: DecoratedGraph) -> dict[int, tuple[int, int]]:
-    """vertex -> (multidegree, number of half-edges N_v)."""
-    dm = multidegree(d)
-    return {v: (dm(v), d.graph.degree(v)) for v in d.graph.vertices}
+    """vertex -> (multidegree, number of half-edges N_v), computed on the
+    first call and kept on d (in its ``__dict__``, as d is frozen)."""
+    if "_multidegree_table" not in d.__dict__:
+        dm = multidegree(d)
+        d.__dict__["_multidegree_table"] = {v: (dm(v), d.graph.degree(v)) for v in d.graph.vertices}
+    return d.__dict__["_multidegree_table"]
 
 
 def _solvable(table, step: int, k: int) -> bool:
@@ -144,19 +147,18 @@ def _solvable(table, step: int, k: int) -> bool:
     return all((dm - k * (n_v - 2)) % step == 0 for dm, n_v in table.values())
 
 
-def genus_labeling(d: DecoratedGraph, k: int, _table=None) -> Optional[dict[int, int]]:
+def genus_labeling(d: DecoratedGraph, k: int) -> Optional[dict[int, int]]:
     """Nonnegative genus labels satisfying the multidegree condition
 
         sum_{e into v} M(e) = k (2 g_v - 2 + N_v)  (mod ell)
 
     with N_v the number of half-edges at v.  Labels are the minimal
     residues, bumped by +ell at any genus-0 vertex of degree < 3 to keep
-    stability.  Returns None when no solution exists.  ``_table`` is
-    ``_multidegree_table(d)`` when the caller has it.
+    stability.  Returns None when no solution exists.
     """
     ell = d.ell
     k = k % ell
-    table = _multidegree_table(d) if _table is None else _table
+    table = _multidegree_table(d)
     step = math.gcd(2 * k, ell)
     if not _solvable(table, step, k):
         return None
@@ -174,12 +176,12 @@ def genus_labeling(d: DecoratedGraph, k: int, _table=None) -> Optional[dict[int,
     return genus
 
 
-def admissible_k(d: DecoratedGraph, _table=None) -> frozenset[int]:
+def admissible_k(d: DecoratedGraph) -> frozenset[int]:
     """Every k in range(ell) for which genus_labeling(d, k) has a solution,
     from one multidegree for all k.  Solvability depends on k only through
     s = gcd(2k, ell) and k mod s, so the vertices are walked once per such
-    pair: twice at an odd prime level.  ``_table`` as in genus_labeling."""
-    table = _multidegree_table(d) if _table is None else _table
+    pair: twice at an odd prime level."""
+    table = _multidegree_table(d)
     solvable = functools.cache(lambda step, r: _solvable(table, step, r))
     return frozenset(
         k for k in range(d.ell) if solvable(step := math.gcd(2 * k, d.ell), k % step)

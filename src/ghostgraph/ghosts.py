@@ -149,20 +149,19 @@ class AgeReport:
     support_size: int
 
 
-def reduced_core(d: DecoratedGraph, _bridges=None) -> DecoratedGraph:
+def reduced_core(d: DecoratedGraph) -> DecoratedGraph:
     """gamma0 with its loops and separating edges contracted.
 
     One pass suffices: contracting bridges joins no edge's ends and leaves
-    every circuit intact, so it creates no loop and no bridge.  ``_bridges``
-    is ``separating_edges`` of gamma0's graph when the caller has it.
+    every circuit intact, so it creates no loop and no bridge.
     """
     core = gamma0(d)
-    drop = core.graph.loops() | (separating_edges(core.graph) if _bridges is None else _bridges)
+    drop = core.graph.loops() | separating_edges(core.graph)
     return contract_decorated(core, drop) if drop else core
 
 
 def minimal_age_report(
-    d: DecoratedGraph, max_elements: int = EXPANSION_BOUND, _bridges=None
+    d: DecoratedGraph, max_elements: int = EXPANSION_BOUND
 ) -> Optional[AgeReport]:
     """Minimum age over the non-identity ghosts a = delta(phi) * M^-1 of the
     reduced core (None when there are none), by depth-first branch-and-bound
@@ -172,10 +171,10 @@ def minimal_age_report(
     partial sum reaches the best found.  max_elements bounds the partial
     potentials visited, ell per assigned vertex, and the entries of the
     cost table, 2 ell per adjacent vertex pair; past it SizeBoundExceeded,
-    the table checked before it is built.  ``_bridges`` as in reduced_core.
+    the table checked before it is built.
     """
     _require_prime(d.ell)
-    core = reduced_core(d, _bridges)
+    core = reduced_core(d)
     g = core.graph
     ell = core.ell
     if g.n_vertices == 1:
@@ -278,27 +277,23 @@ def alpha_beta(d: DecoratedGraph, p: int, _chain=None) -> tuple[list[int], list[
     if p not in prime_factors(d.ell):
         raise DecorationError(f"{p} does not divide the level {d.ell}")
     chain = _contraction_chain(d, p) if _chain is None else _chain
-    stats = [(g.n_vertices, len(bridges)) for g, bridges in chain] + [(1, 0)]
+    stats = [(g.n_vertices, len(separating_edges(g))) for g in chain] + [(1, 0)]
     alphas = [hi_v - lo_v for (hi_v, _), (lo_v, _) in zip(stats, stats[1:])]
     betas = [hi_s - lo_s for (_, hi_s), (_, lo_s) in zip(stats, stats[1:])]
     return alphas, betas
 
 
-def _contraction_chain(d: DecoratedGraph, p: int) -> list[tuple[Multigraph, frozenset[int]]]:
-    """Gamma(nu_p^j) and its bridges for j = e_p .. 1; the first is gamma_p(d, p)."""
-    chain = [gamma_nu(d, p, j) for j in range(prime_factors(d.ell)[p], 0, -1)]
-    return [(g, separating_edges(g)) for g in chain]
+def _contraction_chain(d: DecoratedGraph, p: int) -> list[Multigraph]:
+    """Gamma(nu_p^j) for j = e_p .. 1; the first is gamma_p(d, p)."""
+    return [gamma_nu(d, p, j) for j in range(prime_factors(d.ell)[p], 0, -1)]
 
 
-def vine_witness(
-    d: DecoratedGraph, _bridges=None
-) -> Optional[tuple[frozenset[int], frozenset[int], int]]:
+def vine_witness(d: DecoratedGraph) -> Optional[tuple[frozenset[int], frozenset[int], int]]:
     """A 2-part vertex partition of the faithful graph contracting onto an
-    n-vine with n >= 2, or None when the graph is tree-like.  ``_bridges``
-    as in reduced_core."""
+    n-vine with n >= 2, or None when the graph is tree-like."""
     d0 = gamma0(d)
     g = d0.graph
-    seps = separating_edges(g) if _bridges is None else _bridges
+    seps = separating_edges(g)
     e = min((e for e in g.edge_ids if not g.is_loop(e) and e not in seps), default=None)
     if e is None:  # tree-like
         return None

@@ -33,13 +33,14 @@ class SizeBoundExceeded(RuntimeError):
 
 
 class Multigraph:
-    """Connected multigraph, immutable after construction.
+    """Connected multigraph.  Its vertices and edges never change; its
+    bridges are kept on it from the first ``separating_edges`` request.
 
     Each vertex's darts are stored once, in edge-id order; every incidence
     question (darts, degree, neighbors, tree walks) reads that list.
     """
 
-    __slots__ = ("_vertices", "_edges", "_edge_ids", "_darts")
+    __slots__ = ("_vertices", "_edges", "_edge_ids", "_darts", "_bridges")
 
     def __init__(self, vertices: Iterable[int], edges):
         vs = tuple(sorted(set(int(v) for v in vertices)))
@@ -63,6 +64,7 @@ class Multigraph:
         self._edges = dict(items)
         self._edge_ids = tuple(ids)
         self._darts = darts
+        self._bridges = None
         # connected iff a BFS over every edge reaches every vertex
         if len(_rooted_tree(self, self._edges)[0]) != len(vs):
             raise GraphError("graph is not connected")
@@ -198,7 +200,9 @@ def contract_edges(g: Multigraph, f: Iterable[int]) -> Contraction:
 def separating_edges(g: Multigraph) -> frozenset[int]:
     """The bridges of g (Tarjan 1974): the BFS tree's edge into c is one
     exactly when no other edge leaves the preorder interval below c.  Loops
-    and parallel edges never are."""
+    and parallel edges never are.  Computed once and kept on g."""
+    if g._bridges is not None:
+        return g._bridges
     order, parent, _ = _rooted_tree(g, g._edges)
     start, size = _intervals(g, order, parent)
     # low[v], high[v]: the least and greatest number reached from below v by
@@ -218,7 +222,8 @@ def separating_edges(g: Multigraph) -> frozenset[int]:
             bridges.append(e)
         p = g._edges[e][s]
         low[p], high[p] = min(low[p], lo), max(high[p], hi)
-    return frozenset(bridges)
+    g._bridges = frozenset(bridges)
+    return g._bridges
 
 
 def spanning_tree(g: Multigraph) -> frozenset[int]:

@@ -1,0 +1,51 @@
+"""The public API takes no private parameters: a fact about a graph or a
+decoration is read off that object, never handed in by the caller."""
+
+import importlib
+import inspect
+import pkgutil
+
+import ghostgraph
+
+# parameters that hand over objects rather than facts about them
+ALLOWED = {
+    ("ghostgraph.graphs", "least_encodings", "_orderings"),
+    ("ghostgraph.ghosts", "alpha_beta", "_chain"),
+}
+
+
+def package_functions():
+    """Every function and method defined in a ghostgraph module, with its
+    module name and qualified name."""
+    names = [m.name for m in pkgutil.iter_modules(ghostgraph.__path__, "ghostgraph.")]
+    for module in map(importlib.import_module, ["ghostgraph", *names]):
+        owners = [module]
+        seen = set()
+        while owners:
+            for obj in vars(owners.pop()).values():
+                obj = getattr(obj, "callback", obj)  # a click command's function
+                obj = inspect.unwrap(getattr(obj, "__func__", getattr(obj, "fget", obj)))
+                if getattr(obj, "__module__", None) != module.__name__ or id(obj) in seen:
+                    continue
+                seen.add(id(obj))
+                if inspect.isclass(obj):
+                    owners.append(obj)
+                elif inspect.isfunction(obj):
+                    yield module.__name__, obj.__qualname__, obj
+
+
+def test_no_private_parameters():
+    private = {
+        (module, name, param)
+        for module, name, fn in package_functions()
+        for param in inspect.signature(fn).parameters
+        if param.startswith("_")
+    }
+    assert private == ALLOWED
+    # the walk reaches methods, class methods and click commands
+    walked = {(module, name) for module, name, _ in package_functions()}
+    assert {
+        ("ghostgraph.graphs", "Multigraph.__init__"),
+        ("ghostgraph.decorated", "DecoratedGraph.from_edge_values"),
+        ("ghostgraph.cli", "analyze"),
+    } <= walked

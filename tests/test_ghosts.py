@@ -26,8 +26,9 @@ from ghostgraph import (
     stratum_age,
     vine_witness,
 )
-from ghostgraph.decorated import gamma_nu, prime_factors
-from ghostgraph.ghosts import INFINITE_AGE, reduced_core
+from ghostgraph import cochains, graphs
+from ghostgraph.decorated import admissible_k, gamma_nu, genus_labeling, prime_factors
+from ghostgraph.ghosts import INFINITE_AGE, minimal_age_report, reduced_core
 from ghostgraph.graphs import SizeBoundExceeded
 
 from oracles import (
@@ -39,6 +40,7 @@ from oracles import (
     group_set,
     vine_stratum_age,
 )
+from test_cli import count_bridge_computations, count_calls
 
 
 def vine(n):
@@ -363,6 +365,35 @@ class TestVineWitness:
                 assert seen == part
             crossing = sum(1 for t, h in g.edges.values() if (t in p1) != (h in p1))
             assert n == crossing >= 2
+
+
+class TestKeptFacts:
+    def test_each_fact_computed_once(self, monkeypatch):
+        # faithful: a triangle 0-1-2 with a doubled edge, a loop at 0 and a
+        # pendant bridge to 3
+        g = Multigraph(range(4), [(0, 1), (1, 2), (2, 0), (2, 0), (0, 0), (2, 3)])
+        d0 = dec(g, 5, {0: 1, 1: 2, 2: 3, 3: 4, 4: 1, 5: 2})
+        bridges = count_bridge_computations(monkeypatch)
+        boundaries = count_calls(monkeypatch, cochains, "boundary")
+        assert graphs.separating_edges(g) == {5}
+        assert reduced_core(d0).graph.n_vertices == 3
+        assert minimal_age_report(d0).age == Fraction(3, 5)
+        assert vine_witness(d0) == (frozenset({0}), frozenset({1, 2, 3}), 3)
+        assert alpha_beta(d0, 5) == ([3], [1])
+        assert len(qr_subgroup(d0).generators) == 1
+        assert len(bridges) == 1 and bridges[0] is g
+        assert genus_labeling(d0, 1) == {0: 4, 1: 2, 2: 3, 3: 4}
+        assert admissible_k(d0) == frozenset({1, 2, 3, 4})
+        assert boundaries == [d0.m]
+
+    def test_answers_follow_the_graph(self):
+        # the pendant bridge is contracted away, and every ghost of the
+        # triangle has age at least 1
+        g = Multigraph(range(4), [(0, 1), (1, 2), (2, 0), (2, 3)])
+        assert minimal_age_report(dec(g, 5, {e: 1 for e in g.edge_ids})).age == 1
+        # a path is tree-like, so it has no vine witness
+        path = dec(Multigraph(range(3), [(0, 1), (1, 2)]), 5, {0: 1, 1: 1})
+        assert vine_witness(path) is None
 
 
 class TestCoverDecompose:

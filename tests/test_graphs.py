@@ -101,6 +101,12 @@ class TestIncidence:
             g.edges[0] = (1, 0)
         assert g.ends(0) == (0, 1)
         assert pickle.loads(pickle.dumps(g)) == g
+        # keeping its bridges changes neither equality nor hash
+        bridges = separating_edges(g)
+        fresh = barbell()
+        assert g == fresh and hash(g) == hash(fresh)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == fresh and separating_edges(copy) == bridges == brute_bridges(fresh)
 
 
 class TestContraction:
