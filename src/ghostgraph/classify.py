@@ -35,8 +35,8 @@ from .decorated import (
     DecoratedGraph,
     DecorationError,
     contract_decorated,
+    is_prime,
 )
-from .ghosts import is_prime
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
@@ -46,6 +46,7 @@ from .graphs import (
     code_bytes,
     enumerate_base_graphs,
     least_encodings,
+    separating_edges,
     spanning_forest,
 )
 
@@ -369,12 +370,12 @@ def _reduction(g: Multigraph) -> Optional[tuple[int, int, int, list[int]]]:
             if len(by_nbr[v2]) != 1:
                 continue
             (e,) = by_nbr[v2]
-            e_prime = min(by_nbr[v3])
-            # spanning tree through e_prime avoiding e
-            rest = [f for f in sorted(g.edge_ids) if f not in (e_prime, e)]
-            tree, _ = spanning_forest(g, [e_prime] + rest + [e])
-            if e in tree:
+            # no spanning tree avoids a bridge
+            if e in separating_edges(g):
                 continue
+            e_prime = min(by_nbr[v3])
+            # spanning tree through e_prime (Kruskal skips its repeat) avoiding e
+            tree, _ = spanning_forest(g, [e_prime, *(f for f in sorted(g.edge_ids) if f != e)])
             return v1, e, e_prime, tree
     return None
 

@@ -25,6 +25,7 @@ from .decorated import (
     decorated_to_dict,
     gamma0,
     genus_labeling,
+    is_prime,
     parse_decorated,
     prime_factors,
     root_count,
@@ -34,8 +35,7 @@ from .ghosts import (
     INFINITE_AGE,
     _contraction_chain,
     alpha_beta,
-    is_prime,
-    minimal_age_report,
+    stratum_age,
     vine_witness,
 )
 from .graphs import SizeBoundExceeded, is_tree_like, separating_edges
@@ -145,8 +145,7 @@ def build_report(d, k: Optional[int]) -> dict:
         "multidegree": {str(v): dm for v, (dm, _) in _multidegree_table(d).items()},
     }
     if prime:
-        best = minimal_age_report(d0)
-        s_age = INFINITE_AGE if best is None else best.age
+        s_age = stratum_age(d0)
         # the orders of ghost_group(d0) and qr_subgroup(d0)
         report["ghost_group_order"] = ell ** (g0.n_vertices - 1)
         report["qr_order"] = ell ** len(separating_edges(g0))

@@ -15,10 +15,9 @@ from .graphs import (
     Dart,
     GraphError,
     Multigraph,
-    spanning_forest,
     spanning_tree,
-    _check_spanning_tree,
     _intervals,
+    _rooted_spanning_tree,
     _rooted_tree,
 )
 
@@ -189,12 +188,12 @@ def pairing(x, y) -> int:
 def cut(g: Multigraph, t: Iterable[int], e: int, ell: int) -> OneCochain:
     """The cut of the tree edge e: +1 on every edge crossing from the
     tail-side component of t - e to the head-side component."""
-    tset = _check_spanning_tree(g, t)
+    tset = _rooted_spanning_tree(g, t)[0]
     if e not in tset:
         raise GraphError("cut edge must lie in the spanning tree")
-    _, component = spanning_forest(g, tset - {e})
-    head_side = component[g.ends(e)[1]]
-    return delta(ZeroCochain(g, ell, {v: int(c == head_side) for v, c in component.items()}))
+    reached = _rooted_tree(g, tset - {e})[2]  # the root's side
+    head_in = g.ends(e)[1] in reached
+    return delta(ZeroCochain(g, ell, {v: int((v in reached) == head_in) for v in g.vertices}))
 
 
 def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
@@ -204,8 +203,7 @@ def cut_basis(g: Multigraph, t: Iterable[int], ell: int) -> list[OneCochain]:
     edge is delta of the indicator of the interval of numbers below it,
     negated when the edge points towards the root.
     """
-    tset = _check_spanning_tree(g, t)
-    order, parent, _ = _rooted_tree(g, tset)
+    tset, order, parent, _ = _rooted_spanning_tree(g, t)
     start, size = _intervals(g, order, parent)
     cuts = {}
     for c, (e, s) in parent.items():  # s = 0: e points from the parent into c

@@ -44,6 +44,10 @@ def prime_factors(ell: int) -> dict[int, int]:
     return out
 
 
+def is_prime(ell: int) -> bool:
+    return list(prime_factors(ell).values()) == [1]
+
+
 @dataclass(frozen=True)
 class DecoratedGraph:
     graph: Multigraph

@@ -28,11 +28,13 @@ from .decorated import (
     gamma0,
     gamma_nu,
     gamma_p,
+    is_prime,
     prime_factors,
 )
 from .graphs import (
     Multigraph,
     SizeBoundExceeded,
+    _rooted_tree,
     is_tree_like,
     separating_edges,
     spanning_forest,
@@ -41,11 +43,6 @@ from .graphs import (
 EXPANSION_BOUND = 10**7
 
 INFINITE_AGE = math.inf
-
-
-def is_prime(ell: int) -> bool:
-    fac = prime_factors(ell)
-    return len(fac) == 1 and next(iter(fac.values())) == 1
 
 
 def _require_prime(ell: int):
@@ -297,12 +294,11 @@ def vine_witness(d: DecoratedGraph) -> Optional[tuple[frozenset[int], frozenset[
     e = min((e for e in g.edge_ids if not g.is_loop(e) and e not in seps), default=None)
     if e is None:  # tree-like
         return None
-    # a spanning tree through e, split at e
-    tree, _ = spanning_forest(g, [e] + [f for f in sorted(g.edge_ids) if f != e])
-    _, component = spanning_forest(g, [f for f in tree if f != e])
-    tail_side = component[g.ends(e)[0]]
-    part1 = frozenset(v for v in g.vertices if component[v] == tail_side)
-    part2 = frozenset(g.vertices) - part1
+    # a spanning tree through e (Kruskal skips its repeat), split by the walk over the rest
+    tree, _ = spanning_forest(g, [e, *sorted(g.edge_ids)])
+    reached = frozenset(_rooted_tree(g, set(tree[1:]))[2])
+    other = frozenset(g.vertices) - reached
+    part1, part2 = (reached, other) if g.ends(e)[0] in reached else (other, reached)
     n = sum((a in part1) != (b in part1) for a, b in g.edges.values())
     return part1, part2, n
 

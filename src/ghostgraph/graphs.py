@@ -231,16 +231,6 @@ def spanning_tree(g: Multigraph) -> frozenset[int]:
     return frozenset(spanning_forest(g, sorted(g.edge_ids))[0])
 
 
-def _check_spanning_tree(g: Multigraph, t: Iterable[int]) -> frozenset[int]:
-    tset = frozenset(t)
-    joined, _ = spanning_forest(g, tset)
-    if len(tset) != g.n_vertices - 1:
-        raise GraphError("not a spanning tree: wrong edge count")
-    if len(joined) < len(tset):
-        raise GraphError("not a spanning tree: contains a circuit")
-    return tset
-
-
 def _rooted_tree(
     g: Multigraph, tset: Container[int]
 ) -> tuple[list[int], dict[int, Dart], dict[int, int]]:
@@ -256,6 +246,19 @@ def _rooted_tree(
                 parent[y], depth[y] = (e, s), depth[x] + 1
                 order.append(y)
     return order, parent, depth
+
+
+def _rooted_spanning_tree(g: Multigraph, t: Iterable[int]):
+    """t as a set and ``_rooted_tree`` over it, once t is checked to be a spanning tree."""
+    tset = frozenset(t)
+    for e in tset:  # raises on an id that names no edge of g
+        g.ends(e)
+    if len(tset) != g.n_vertices - 1:
+        raise GraphError("not a spanning tree: wrong edge count")
+    order, parent, depth = _rooted_tree(g, tset)
+    if len(order) != g.n_vertices:  # #V - 1 edges missing a vertex close a circuit
+        raise GraphError("not a spanning tree: contains a circuit")
+    return tset, order, parent, depth
 
 
 def _intervals(g: Multigraph, order: list[int], parent: dict[int, Dart]):
@@ -279,8 +282,7 @@ def fundamental_circuits(g: Multigraph, t: Iterable[int]) -> list[list[Dart]]:
 
     A loop yields a length-1 circuit.
     """
-    tset = _check_spanning_tree(g, t)
-    _, parent, depth = _rooted_tree(g, tset)
+    tset, _, parent, depth = _rooted_spanning_tree(g, t)
     circuits = []
     for e in sorted(set(g.edge_ids) - tset):
         # climb from both ends to where they meet: up from the head, down to the tail

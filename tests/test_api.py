@@ -1,9 +1,12 @@
 """The public API takes no private parameters: a fact about a graph or a
-decoration is read off that object, never handed in by the caller."""
+decoration is read off that object, never handed in by the caller.  The
+modules import one another only down their layers."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import ghostgraph
 
@@ -49,3 +52,23 @@ def test_no_private_parameters():
         ("ghostgraph.decorated", "DecoratedGraph.from_edge_values"),
         ("ghostgraph.cli", "analyze"),
     } <= walked
+
+
+# graphs <- cochains <- decorated <- {ghosts, classify} <- props <- cli: the
+# command line also runs the property checks
+LAYERS = {
+    "graphs": 0, "cochains": 1, "decorated": 2, "ghosts": 3, "classify": 3, "props": 4, "cli": 5,
+}
+
+
+def test_imports_follow_the_layers():
+    names = {m.name for m in pkgutil.iter_modules(ghostgraph.__path__)}
+    assert names == set(LAYERS)
+    upward = set()
+    for name, layer in LAYERS.items():
+        source = Path(ghostgraph.__path__[0], f"{name}.py").read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward |= {(name, t) for t in targets if LAYERS[t] >= layer}
+    assert upward == set()

@@ -8,6 +8,7 @@ from ghostgraph import (
     CochainError,
     DecoratedGraph,
     EvenFunction,
+    GraphError,
     Multigraph,
     OneCochain,
     ZeroCochain,
@@ -24,7 +25,7 @@ from ghostgraph import (
     solve_delta,
     spanning_tree,
 )
-from ghostgraph import graphs
+from ghostgraph import classify, graphs
 from ghostgraph.cochains import circuit_sum
 from ghostgraph.graphs import spanning_forest
 
@@ -202,7 +203,32 @@ def random_multigraph(rng):
     return Multigraph(range(nv), [p[::-1] if rng.random() < 0.5 else p for p in pairs])
 
 
+# the functions that take a spanning tree t of g, each checking it first
+TREE_FUNCTIONS = {
+    "fundamental_circuits": fundamental_circuits,
+    "cut": lambda g, t: cut(g, t, min(t), 5),
+    "cut_basis": lambda g, t: cut_basis(g, t, 5),
+}
+
+
 class TestCuts:
+    @pytest.mark.parametrize("name", sorted(TREE_FUNCTIONS))
+    @pytest.mark.parametrize("edges, t, message", [
+        ([(0, 1), (0, 1)], {0, 1}, "not a spanning tree: wrong edge count"),
+        ([(0, 1), (0, 1), (1, 2)], {0, 1}, "not a spanning tree: contains a circuit"),
+        ([(0, 0), (0, 1)], {0}, "not a spanning tree: contains a circuit"),
+        ([(0, 1), (1, 2)], {0, 7}, "unknown edge id 7"),
+    ])
+    def test_non_tree_rejected(self, name, edges, t, message):
+        g = Multigraph(range(1 + max(max(p) for p in edges)), edges)
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            TREE_FUNCTIONS[name](g, t)
+
+    def test_cut_edge_outside_tree_rejected(self):
+        g = Multigraph(range(3), [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(GraphError, match="^cut edge must lie in the spanning tree$"):
+            cut(g, {0, 1}, 2, 5)
+
     def test_vine_cut(self):
         g = vine(2)
         c = cut(g, {0}, 0, 5)
@@ -300,13 +326,20 @@ class TestInImageDelta:
             assert lifts(EvenFunction(g, ell, ghost), d) == in_image_delta(c)
 
     def test_no_union_find_pass(self, monkeypatch):
-        # bridges and exactness root the BFS tree: no spanning_forest pass
+        # bridges, exactness, cuts and circuits root the BFS tree: no
+        # spanning_forest pass
         g = Multigraph(range(3), [(0, 0), (0, 1), (0, 1), (1, 2)])
         phi = ZeroCochain(g, 5, {0: 0, 1: 2, 2: 4})
         calls = count_calls(monkeypatch, graphs, "spanning_forest")
         assert separating_edges(g) == {3}
         assert in_image_delta(delta(phi))
         assert solve_delta(delta(phi)) == phi
+        t = {1, 3}
+        assert cut(g, t, 3, 5) == cut_basis(g, t, 5)[1]
+        assert len(fundamental_circuits(g, t)) == 2
+        # vertex 1's single edge to a neighbour is the bridge 3: no
+        # configuration, so no tree is built
+        assert classify._reduction(g) is None
         assert calls == []
         spanning_tree(g)
         assert calls == [g]

@@ -41,6 +41,7 @@ from oracles import (
     vine_stratum_age,
 )
 from test_cli import count_bridge_computations, count_calls
+from test_cochains import random_multigraph
 
 
 def vine(n):
@@ -365,6 +366,50 @@ class TestVineWitness:
                 assert seen == part
             crossing = sum(1 for t, h in g.edges.values() if (t in p1) != (h in p1))
             assert n == crossing >= 2
+
+    def test_matches_reference_with_one_kruskal(self, monkeypatch):
+        # the pinned witness: Kruskal over e, the least non-loop non-bridge
+        # edge, then every edge in ascending order; part1 is the side of e's
+        # tail in that tree less e
+        rng = random.Random(24)
+        forests = count_calls(monkeypatch, graphs, "spanning_forest")
+        split = 0
+        for _ in range(300):
+            g = random_multigraph(rng)
+            d = dec(g, 7, {e: rng.randrange(1, 7) for e in g.edge_ids})  # faithful
+            bridges = brute_bridges(g)
+            e = min((f for f in g.edge_ids if not g.is_loop(f) and f not in bridges), default=None)
+            forests.clear()
+            witness = vine_witness(d)
+            if e is None:
+                assert witness is None and forests == []
+                continue
+            split += 1
+            assert forests == [g]
+            root = {v: v for v in g.vertices}
+
+            def find(v):
+                while root[v] != v:
+                    v = root[v]
+                return v
+
+            tree = []
+            for f in [e, *sorted(g.edge_ids)]:
+                a, b = map(find, g.ends(f))
+                if a != b:
+                    root[a] = b
+                    tree.append(f)
+            queue = [g.ends(e)[0]]
+            part1 = set(queue)
+            for x in queue:
+                for f in tree[1:]:
+                    for u, w in (g.ends(f), g.ends(f)[::-1]):
+                        if u == x and w not in part1:
+                            part1.add(w)
+                            queue.append(w)
+            n = sum((t in part1) != (h in part1) for t, h in g.edges.values())
+            assert witness == (frozenset(part1), frozenset(g.vertices) - part1, n)
+        assert split >= 100, split
 
 
 class TestKeptFacts:
