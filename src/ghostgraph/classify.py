@@ -14,9 +14,10 @@ invariant.  ``np.unique`` compares the encodings as byte strings, and
 only each class's first row is coded over every ordering, which gives
 the class code; ``decoration_code`` is the one-row call.  The
 multidegrees give the admissible k, so the Python work per class is one
-record of integer rows; its ``DecoratedGraph`` and witness are built only
-when read.  Maximal tables skip the base graphs that ``reduce_step``'s
-lemma rules out before scanning them.
+record of integer rows from lists converted once per base graph; its
+``DecoratedGraph`` and witness are built only when read.  Maximal tables
+skip the base graphs that ``reduce_step``'s lemma rules out before
+scanning them.
 
 numpy is imported inside the kernels that use it, so importing the
 package, and analyzing one graph, never loads it.
@@ -209,7 +210,9 @@ def classify_junior(
     With ``k`` given, only classes whose multidegree condition is solvable
     for that k are returned.  The classification of closure-maximal classes
     is complete at the default bound: a fully supported witness of age
-    below 1 forces #E < ell.
+    below 1 forces #E < ell.  The list is fresh, but its classes are the
+    cached objects that every call with the same arguments shares: do not
+    assign to their fields; ``dataclasses.replace`` gives a changed copy.
     """
     # every supported level is prime: no trial division of an arbitrary ell
     if ell not in SUPPORTED_LEVELS:
@@ -280,6 +283,7 @@ def _classify_cached(
             found.append((g, scan.decorations[idxs], scan.age_num[idxs],
                           scan.candidates[scan.witness_idx[idxs]], scan.maximal[idxs]))
     classes: list[StratumClass] = []
+    ages = [Fraction(n, ell) for n in range(ell)]
     for g, rows, age_num, witnesses, maximal in found:
         # group by the least encoding over the automorphism-minimal
         # orderings, a complete invariant; rows are in lexicographic order,
@@ -291,20 +295,14 @@ def _classify_cached(
         assert (maximal == maximal[first][inverse]).all(), "maximality must be orbit invariant"
         codes = code_bytes(g, least_encodings(g, rows[first], ell), ell)
         k_sets = _admissible_sets(g, ell, rows[first])
-        for i, code, k_set, orbit_size in zip(first.tolist(), codes, k_sets, counts.tolist()):
-            row = tuple(rows[i].tolist())
+        for row, witness, n, is_maximal, code, k_set, orbit_size in zip(
+            rows[first].tolist(), witnesses[first].tolist(), age_num[first].tolist(),
+            maximal[first].tolist(), codes, k_sets, counts.tolist(),
+        ):
             classes.append(StratumClass(
-                graph=g,
-                ell=ell,
-                row=row,
-                code=code,
-                vine=_vine(g, ell, row),
-                age=Fraction(int(age_num[i]), ell),
-                witness_row=tuple(witnesses[i].tolist()),
-                codimension=g.n_edges,
-                admissible_k=k_set,
-                orbit_size=orbit_size,
-                maximal=bool(maximal[i]),
+                graph=g, ell=ell, row=tuple(row), code=code, vine=_vine(g, ell, row),
+                age=ages[n], witness_row=tuple(witness), codimension=g.n_edges,
+                admissible_k=k_set, orbit_size=orbit_size, maximal=is_maximal,
             ))
     classes.sort(key=lambda c: (c.codimension, c.graph.n_vertices, c.code))
     assert all(c.codimension < ell for c in classes if c.maximal)

@@ -172,17 +172,20 @@ def minimal_age_report(
     """
     _require_prime(d.ell)
     core = reduced_core(d)
-    g = core.graph
-    ell = core.ell
+    g, ell = core.graph, core.ell
     if g.n_vertices == 1:
         return None
-    # the first descent is never pruned and visits ell per vertex
-    if ell * (g.n_vertices - 1) > max_elements:
-        raise SizeBoundExceeded(
-            f"age search exceeds its bound of {max_elements} partial potentials: "
-            f"its first descent visits ell * (#V - 1) = {ell * (g.n_vertices - 1)}",
-            "max_elements", max_elements, ell * (g.n_vertices - 1),
+
+    def exceeded(unit: str, requested: int, detail: str) -> SizeBoundExceeded:
+        return SizeBoundExceeded(
+            f"age search exceeds its bound of {max_elements} {unit}: {detail}",
+            "max_elements", max_elements, requested,
         )
+
+    # the first descent is never pruned and visits ell per vertex
+    if (first := ell * (g.n_vertices - 1)) > max_elements:
+        raise exceeded("partial potentials", first,
+                       f"its first descent visits ell * (#V - 1) = {first}")
     order = [g.vertices[0]]
     seen = set(order)
     for v in order:
@@ -190,26 +193,21 @@ def minimal_age_report(
             seen.add(w)
             order.append(w)
     pos = {v: i for i, v in enumerate(order)}
-    # inverses[i, j]: M^-1 read from j to i on the edges joining vertex i to
-    # an earlier vertex j; the cost table holds 2 ell entries per such pair
-    inverses: dict[tuple[int, int], list[int]] = {}
+    # closing[i][j]: M^-1 read from j to i on the edges joining vertex i to
+    # an earlier vertex j, then the sum of rep(a(e)) over them when
+    # phi_i - phi_j = x; x < 2 ell makes shifts slices, 2 ell entries a pair
+    closing: list[dict[int, list[int]]] = [{} for _ in order]
     for e, (t, h) in g.edges.items():
         i, j, k = pos[h], pos[t], pow(core.m_value(e), -1, ell)
         if i < j:
             i, j, k = j, i, -k
-        inverses.setdefault((i, j), []).append(k)
-    if 2 * ell * (adjacent := len(inverses)) > max_elements:
-        raise SizeBoundExceeded(
-            f"age search exceeds its bound of {max_elements} elements: its cost table "
-            f"holds 2 ell * (adjacent vertex pairs) = 2 * {ell} * {adjacent} = "
-            f"{2 * ell * adjacent} entries",
-            "max_elements", max_elements, 2 * ell * adjacent,
-        )
-    # closing[i][j][x]: sum of rep(a(e)) over the edges joining vertex i to
-    # an earlier vertex j when phi_i - phi_j = x; x < 2 ell makes shifts slices
-    closing: list[dict[int, list[int]]] = [{} for _ in order]
-    for (i, j), ks in inverses.items():
-        closing[i][j] = [sum(x * k % ell for k in ks) for x in range(ell)] * 2
+        closing[i].setdefault(j, []).append(k)
+    if (entries := 2 * ell * (adjacent := sum(map(len, closing)))) > max_elements:
+        raise exceeded("elements", entries, "its cost table holds 2 ell * (adjacent vertex pairs) "
+                       f"= 2 * {ell} * {adjacent} = {entries} entries")
+    for pairs in closing:
+        for j, ks in pairs.items():
+            pairs[j] = [sum(x * k % ell for k in ks) for x in range(ell)] * 2
     phi = [0] * len(order)
     best_sum, best_phi, visited = math.inf, phi, 0
 
@@ -218,11 +216,7 @@ def minimal_age_report(
         nonlocal visited
         visited += ell
         if visited > max_elements:
-            raise SizeBoundExceeded(
-                f"age search exceeds its bound of {max_elements} partial potentials: "
-                f"{visited} visited",
-                "max_elements", max_elements, visited,
-            )
+            raise exceeded("partial potentials", visited, f"{visited} visited")
         rows = [row[ell - phi[j] : 2 * ell - phi[j]] for j, row in closing[i].items()]
         costs = [sum(c) for c in zip(*rows)]
         return i, partial, costs, iter(sorted(range(ell), key=costs.__getitem__))

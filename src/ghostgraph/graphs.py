@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
-from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Optional
 
 Dart = tuple[int, int]
 
@@ -114,11 +114,6 @@ class Multigraph:
 
     def head(self, d: Dart) -> int:
         return self.tail((d[0], 1 - d[1]))
-
-    def darts(self) -> Iterator[Dart]:
-        for e in self._edges:
-            yield (e, 0)
-            yield (e, 1)
 
     def darts_at(self, v: int) -> list[Dart]:
         """All darts with tail v; a loop contributes both of its darts."""

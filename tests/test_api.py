@@ -1,6 +1,7 @@
 """The public API takes no private parameters: a fact about a graph or a
 decoration is read off that object, never handed in by the caller.  The
-modules import one another only down their layers."""
+modules import one another only down their layers, and every method is
+read somewhere."""
 
 import ast
 import importlib
@@ -72,3 +73,31 @@ def test_imports_follow_the_layers():
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 upward |= {(name, t) for t in targets if LAYERS[t] >= layer}
     assert upward == set()
+
+
+# methods read by name rather than as an attribute: _cached_field builds
+# StratumClass.decorated and .witness from them
+READ_BY_NAME = {("StratumClass", "_decorated"), ("StratumClass", "_witness")}
+
+
+def test_every_method_is_used():
+    root = Path(__file__).resolve().parent.parent
+    read = {
+        node.attr
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in (root / folder).rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    unused = set()
+    for name in LAYERS:
+        source = Path(ghostgraph.__path__[0], f"{name}.py").read_text()
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                unused |= {
+                    (cls.name, f.name) for f in cls.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__") and f.name.endswith("__"))
+                    and f.name not in read
+                }
+    assert unused == READ_BY_NAME

@@ -549,6 +549,19 @@ class TestClassRows:
         assert classes[0].witness is classes[0].witness
         assert calls == {"OneCochain": 1, "EvenFunction": 1}
 
+    @pytest.mark.parametrize("ell, kwargs", [
+        (5, {"only_maximal": False}), (7, {"only_maximal": True}), (7, {"max_edges": 5}),
+    ])
+    def test_records_hold_plain_python_values(self, ell, kwargs):
+        # numpy scalars must not leak into rows, JSON or hashes
+        for c in classify_junior(ell, **kwargs):
+            for row in (c.row, c.witness_row):
+                assert type(row) is tuple and all(type(m) is int for m in row)
+            assert type(c.maximal) is bool and type(c.orbit_size) is int
+            assert type(c.age) is Fraction and ell % c.age.denominator == 0
+            assert type(c.admissible_k) is frozenset
+            assert all(type(k) is int for k in c.admissible_k)
+
     def test_replace_keeps_a_given_witness(self):
         c = classify_junior(5)[0]
         w = c.witness.scale(2)

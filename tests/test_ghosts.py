@@ -227,6 +227,30 @@ class TestStratumAge:
             stratum_age(d, max_elements=41)
         assert stratum_age(d) < INFINITE_AGE
 
+    @pytest.mark.parametrize("max_elements, attributes, message", [
+        (14, None, None),
+        (13, (13, 14), "bound of 13 elements: its cost table holds 2 ell * (adjacent vertex "
+                       "pairs) = 2 * 7 * 1 = 14 entries"),
+        (7, (7, 14), "bound of 7 elements: its cost table holds 2 ell * (adjacent vertex "
+                     "pairs) = 2 * 7 * 1 = 14 entries"),
+        (6, (6, 7), "bound of 6 partial potentials: its first descent visits "
+                    "ell * (#V - 1) = 7"),
+    ])
+    def test_bounds_at_their_boundary(self, max_elements, attributes, message):
+        # a 3-edge vine is its own reduced core: one descent of 7 potentials
+        # and a cost table of 2 * 7 entries for its one adjacent pair
+        d = dec(vine(3), 7, {0: 1, 1: 2, 2: 3})
+        assert reduced_core(d).graph.n_edges == 3
+        if attributes is None:
+            assert stratum_age(d, max_elements=max_elements) == Fraction(6, 7)
+            return
+        with pytest.raises(SizeBoundExceeded) as info:
+            stratum_age(d, max_elements=max_elements)
+        assert (info.value.bound, info.value.limit, info.value.requested) == (
+            "max_elements", *attributes
+        )
+        assert str(info.value) == f"age search exceeds its {message}"
+
     def test_deep_core_without_recursion(self):
         # a chain of 300 vertices joined by doubled edges: the search goes
         # 300 vertices deep, past a recursion limit of 150
